@@ -75,15 +75,15 @@ void RoutingTable::offer(const PeerDescriptor& d) {
   if (d.id == self_id_) return;
   store_.put_if_absent(d.id, d.values);
   auto slot = cells_.classify(self_coord_, d.coord);
-  if (!slot) return;  // defensive; classification always succeeds
+  if (!slot) return;  // out-of-range coords fill no slot
   offer_classified({d.id, d.age}, *slot);
 }
 
 void RoutingTable::offer(CompactPeer c) {
   if (c.id == self_id_) return;
   assert(store_.contains(c.id));
-  auto slot = cells_.classify(self_coord_, store_.coord_of(c.id));
-  if (!slot) return;  // defensive; classification always succeeds
+  auto slot = cells_.classify(self_coord_.data(), store_.coord_ptr(c.id));
+  if (!slot) return;  // out-of-range coords fill no slot
   offer_classified(c, *slot);
 }
 
@@ -96,17 +96,21 @@ void RoutingTable::offer_classified(CompactPeer c, const CellSlot& slot) {
 }
 
 void RoutingTable::remove(NodeId id) {
+  const std::size_t zero_before = zero_.size();
   zero_.erase(std::remove_if(zero_.begin(), zero_.end(),
                              [id](CompactPeer e) { return e.id == id; }),
               zero_.end());
+  bool removed = zero_.size() != zero_before;
   for (std::size_t si = 0; si < counts_.size(); ++si) {
     CompactPeer* base = &pool_[si * cfg_.slot_capacity];
     std::uint16_t n = counts_[si];
     std::uint16_t w = 0;
     for (std::uint16_t i = 0; i < n; ++i)
       if (base[i].id != id) base[w++] = base[i];
+    removed = removed || w != n;
     counts_[si] = w;
   }
+  if (removed) ++generation_;
 }
 
 void RoutingTable::age_all() {
@@ -115,25 +119,37 @@ void RoutingTable::age_all() {
     CompactPeer* base = &pool_[si * cfg_.slot_capacity];
     for (std::uint16_t i = 0; i < counts_[si]; ++i) ++base[i].age;
   }
+  ++generation_;
+}
+
+void RoutingTable::age_all_with_views() {
+  const bool fresh = !refresh_stale();
+  age_all();
+  if (fresh) mark_refreshed();
 }
 
 void RoutingTable::drop_older_than(std::uint32_t max_age) {
+  const std::size_t zero_before = zero_.size();
   zero_.erase(std::remove_if(zero_.begin(), zero_.end(),
                              [max_age](CompactPeer e) { return e.age > max_age; }),
               zero_.end());
+  bool removed = zero_.size() != zero_before;
   for (std::size_t si = 0; si < counts_.size(); ++si) {
     CompactPeer* base = &pool_[si * cfg_.slot_capacity];
     std::uint16_t n = counts_[si];
     std::uint16_t w = 0;
     for (std::uint16_t i = 0; i < n; ++i)
       if (base[i].age <= max_age) base[w++] = base[i];
+    removed = removed || w != n;
     counts_[si] = w;
   }
+  if (removed) ++generation_;
 }
 
 void RoutingTable::clear() {
   zero_.clear();
   std::fill(counts_.begin(), counts_.end(), 0);
+  ++generation_;
 }
 
 const CompactPeer* RoutingTable::neighbor(int level, int dim) const {

@@ -62,6 +62,27 @@ class RoutingTable {
 
   void clear();
 
+  // -- incremental refresh (see SelectionNode::refresh_routing) -------------
+
+  /// True when the table changed other than by offers since the last
+  /// mark_refreshed(): age_all(), clear(), or a remove() or
+  /// drop_older_than() that removed something. Any of those can turn an
+  /// offer that was a no-op into one that changes the table. A new table
+  /// starts stale.
+  bool refresh_stale() const { return generation_ != refreshed_; }
+
+  /// Records that every entry of the owner's views was just offered (or is
+  /// known to be a no-op offer).
+  void mark_refreshed() { refreshed_ = generation_; }
+
+  /// Forces refresh_stale() until the next mark_refreshed().
+  void mark_stale() { refreshed_ = kNeverRefreshed; }
+
+  /// age_all() for an owner whose views have all aged by one since its last
+  /// refresh: view and table entries age together and keep their order, so
+  /// a table that was not stale stays so.
+  void age_all_with_views();
+
   /// The paper's n(l,k): primary (youngest) candidate for slot (level,dim);
   /// nullptr when no node of that subcell is known (possibly an empty cell).
   const CompactPeer* neighbor(int level, int dim) const;
@@ -116,6 +137,10 @@ class RoutingTable {
   std::vector<CompactPeer> pool_;
   std::vector<std::uint16_t> counts_;
   std::vector<CompactPeer> zero_;
+  /// Counts the non-offer changes listed at refresh_stale().
+  std::uint64_t generation_ = 0;
+  static constexpr std::uint64_t kNeverRefreshed = ~std::uint64_t{0};
+  std::uint64_t refreshed_ = kNeverRefreshed;  // generation_ at the last refresh
 };
 
 }  // namespace ares

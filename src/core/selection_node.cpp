@@ -86,9 +86,11 @@ void SelectionNode::gossip_tick() {
   // Two gossip initiations per cycle, one per layer (§6: "each node
   // initiates exactly two gossips").
   metrics().inc(id(), m_gossip_cycles_);
+  ticking_ = true;
   cyclon_->tick();
   vicinity_->tick(cyclon_->view());
-  rt_->age_all();
+  ticking_ = false;
+  rt_->age_all_with_views();  // both views aged in their ticks just above
   rt_->drop_older_than(cfg_.rt_max_age);
   refresh_routing();
   if (cache_.enabled()) {
@@ -111,8 +113,39 @@ void SelectionNode::meter_cache() {
 }
 
 void SelectionNode::refresh_routing() {
-  for (const CompactPeer c : cyclon_->view().entries()) rt_->offer(c);
-  for (const CompactPeer c : vicinity_->view().entries()) rt_->offer(c);
+  // The routing table must end up exactly as if every entry of both views
+  // were offered (cyclon first, then vicinity). Offered here are only the
+  // entries a merge inserted or made younger since the last refresh (the
+  // views' change feeds), unless the table changed by something other than
+  // an offer, or an aging the views matched, since then.
+  //
+  // Why the other entries are no-ops. After the last refresh every view
+  // entry e = (id, a) was a no-op offer: the table held id at an age <= a,
+  // or e's slot was full of entries that all rank before e (slot_less:
+  // younger first, then lower id). Since then:
+  //   - offers only insert entries that rank before the ones they displace,
+  //     and only make a held entry younger, so both cases persist;
+  //   - gossip_tick ages both views and then the table by one, so e and the
+  //     table entries it is compared with age together and keep their order;
+  //   - e itself changed only if a merge inserted it or made it younger,
+  //     and then it is in the change feed.
+  // Anything else — remove() or drop_older_than() removing an entry (which
+  // may open room in a slot), clear(), an aging the views did not match —
+  // leaves the table refresh_stale() and forces a full re-offer. Offer order
+  // does not matter: a slot keeps the top entries of everything offered to
+  // it, youngest per id.
+  const bool full = rt_->refresh_stale();
+  auto offer = [this](CompactPeer c) { rt_->offer(c); };
+  cyclon_->drain_fresh(full, offer);
+  vicinity_->drain_fresh(full, offer);
+  // A refresh inside gossip_tick (only possible under a runtime that
+  // delivers synchronously from send) happens after the views aged but
+  // before the table did; that aging is then unmatched.
+  if (ticking_) {
+    rt_->mark_stale();
+  } else {
+    rt_->mark_refreshed();
+  }
 }
 
 void SelectionNode::set_values(Point values) {
@@ -171,25 +204,29 @@ QueryId SelectionNode::submit(const RangeQuery& q, std::uint32_t sigma,
 }
 
 void SelectionNode::on_message(NodeId from, const Message& m) {
-  if (cyclon_ != nullptr && cyclon_->handle(from, m)) {
-    refresh_routing();
-    return;
-  }
-  if (vicinity_ != nullptr && vicinity_->handle(from, m, cyclon_->view())) {
-    refresh_routing();
-    return;
-  }
-  if (const auto* q = dynamic_cast<const QueryMsg*>(&m)) {
-    handle_query(from, *q, /*is_origin=*/false, nullptr);
-    return;
-  }
-  if (const auto* r = dynamic_cast<const ReplyMsg*>(&m)) {
-    handle_reply(from, *r);
-    return;
-  }
-  if (const auto* p = dynamic_cast<const ProgressMsg*>(&m)) {
-    handle_progress(from, *p);
-    return;
+  // kind() is unique per message type, so it selects the handler and
+  // licenses the static_cast.
+  switch (m.kind()) {
+    case wire::Kind::kCyclonRequest:
+    case wire::Kind::kCyclonReply:
+      if (cyclon_ != nullptr && cyclon_->handle(from, m)) refresh_routing();
+      return;
+    case wire::Kind::kVicinityRequest:
+    case wire::Kind::kVicinityReply:
+      if (vicinity_ != nullptr && vicinity_->handle(from, m, cyclon_->view()))
+        refresh_routing();
+      return;
+    case wire::Kind::kQuery:
+      handle_query(from, static_cast<const QueryMsg&>(m), /*is_origin=*/false, nullptr);
+      return;
+    case wire::Kind::kReply:
+      handle_reply(from, static_cast<const ReplyMsg&>(m));
+      return;
+    case wire::Kind::kProgress:
+      handle_progress(from, static_cast<const ProgressMsg&>(m));
+      return;
+    default:
+      return;
   }
 }
 

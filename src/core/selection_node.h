@@ -245,6 +245,7 @@ class SelectionNode final : public Node {
   std::unique_ptr<RoutingTable> rt_;
   std::unique_ptr<Cyclon> cyclon_;
   std::unique_ptr<Vicinity> vicinity_;
+  bool ticking_ = false;  // inside gossip_tick's view ticks
 
   std::unordered_map<QueryId, QueryState> active_;
   std::unordered_set<QueryId> completed_;

@@ -28,37 +28,42 @@ void Cyclon::tick() {
   // 2. Build the subset: self (age 0) plus up to shuffle_len-1 random others.
   auto msg = std::make_unique<CyclonShuffleMsg>();
   msg->is_reply = false;
-  view_.random_subset_into(rng_, cfg_.shuffle_len - 1, subset_scratch_);
-  subset_scratch_.push_back({self_, 0});
+  std::vector<CompactPeer>& subset = SelectionWorkspace::local().peers;
+  view_.random_subset_into(rng_, cfg_.shuffle_len - 1, subset);
+  subset.push_back({self_, 0});
   msg->entries.clear();
-  msg->entries.reserve(subset_scratch_.size());
-  for (CompactPeer p : subset_scratch_)
-    msg->entries.push_back(materialize(store_, p));
+  msg->entries.reserve(subset.size());
+  for (CompactPeer p : subset) msg->entries.push_back(materialize(store_, p));
 
-  last_sent_.assign(subset_scratch_.begin(), subset_scratch_.end());
+  last_sent_.assign(subset.begin(), subset.end());
   send_(target.id, std::move(msg));
   // If the target is dead, the message is dropped and the dead link is
   // already gone from the view — CYCLON's built-in failure handling.
 }
 
 bool Cyclon::handle(NodeId from, const Message& m) {
-  const auto* shuffle = dynamic_cast<const CyclonShuffleMsg*>(&m);
-  if (shuffle == nullptr) return false;
+  if (m.kind() != wire::Kind::kCyclonRequest && m.kind() != wire::Kind::kCyclonReply)
+    return false;
+  const auto& shuffle = static_cast<const CyclonShuffleMsg&>(m);
 
-  if (!shuffle->is_reply) {
-    // Answer with a random subset of our own view, then merge theirs.
+  if (!shuffle.is_reply) {
+    // Answer with a random subset of our own view, then merge theirs. The
+    // merge runs before the send: the subset lives in the thread's
+    // workspace, which a synchronously delivered reply would reuse. Merging
+    // first changes nothing else — the reply is already built, and the
+    // merge neither reads it nor draws from rng_.
     auto reply = std::make_unique<CyclonShuffleMsg>();
     reply->is_reply = true;
-    view_.random_subset_into(rng_, cfg_.shuffle_len, sent_scratch_);
+    std::vector<CompactPeer>& sent = SelectionWorkspace::local().peers;
+    view_.random_subset_into(rng_, cfg_.shuffle_len, sent);
     reply->entries.clear();
-    reply->entries.reserve(sent_scratch_.size());
-    for (CompactPeer p : sent_scratch_)
-      reply->entries.push_back(materialize(store_, p));
+    reply->entries.reserve(sent.size());
+    for (CompactPeer p : sent) reply->entries.push_back(materialize(store_, p));
+    merge(from, shuffle.entries, sent);
     send_(from, std::move(reply));
-    merge(from, shuffle->entries, sent_scratch_);
   } else {
     if (from == shuffle_partner_) shuffle_partner_ = kInvalidNode;
-    merge(from, shuffle->entries, last_sent_);
+    merge(from, shuffle.entries, last_sent_);
     last_sent_.clear();
   }
   return true;

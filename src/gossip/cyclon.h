@@ -20,6 +20,7 @@
 
 #include "common/object_pool.h"
 #include "gossip/view.h"
+#include "gossip/workspace.h"
 #include "runtime/message.h"
 
 namespace ares {
@@ -73,6 +74,12 @@ class Cyclon {
   /// Purges a peer known to be unreachable.
   void remove(NodeId id) { view_.remove(id); }
 
+  /// The view's change feed (View::drain_fresh).
+  template <typename F>
+  void drain_fresh(bool all, F&& fn) {
+    view_.drain_fresh(all, fn);
+  }
+
  private:
   void merge(NodeId peer, const std::vector<PeerDescriptor>& received,
              const std::vector<CompactPeer>& sent);
@@ -83,9 +90,7 @@ class Cyclon {
   Rng& rng_;
   SendFn send_;
   View view_;
-  std::vector<CompactPeer> last_sent_;      // subset sent in the ongoing shuffle
-  std::vector<CompactPeer> sent_scratch_;   // reply subset copy for merge()
-  std::vector<CompactPeer> subset_scratch_; // random-subset staging
+  std::vector<CompactPeer> last_sent_;  // subset sent in the ongoing shuffle
   NodeId shuffle_partner_ = kInvalidNode;
 };
 

@@ -38,133 +38,130 @@ void Vicinity::tick(const View& cyclon_view) {
 }
 
 bool Vicinity::handle(NodeId from, const Message& m, const View& cyclon_view) {
-  const auto* ex = dynamic_cast<const VicinityExchangeMsg*>(&m);
-  if (ex == nullptr) return false;
+  if (m.kind() != wire::Kind::kVicinityRequest &&
+      m.kind() != wire::Kind::kVicinityReply)
+    return false;
+  const auto& ex = static_cast<const VicinityExchangeMsg&>(m);
 
-  if (!ex->is_reply) {
+  if (!ex.is_reply) {
     auto reply = std::make_unique<VicinityExchangeMsg>();
     reply->is_reply = true;
     // Reply with what is most useful to the requester. We know the
     // requester's profile when its descriptor was in the request (Vicinity
     // always includes self); otherwise fall back to a random subset.
     const PeerDescriptor* requester = nullptr;
-    for (const auto& e : ex->entries)
+    for (const auto& e : ex.entries)
       if (e.id == from) requester = &e;
     if (requester != nullptr) {
       store_.put_if_absent(requester->id, requester->values);
       subset_into(requester->id, cyclon_view, cfg_.exchange_len, reply->entries);
     } else {
-      view_.random_subset_into(rng_, cfg_.exchange_len, subset_scratch_);
+      std::vector<CompactPeer>& subset = SelectionWorkspace::local().peers;
+      view_.random_subset_into(rng_, cfg_.exchange_len, subset);
       reply->entries.clear();
-      reply->entries.reserve(subset_scratch_.size());
-      for (CompactPeer p : subset_scratch_)
-        reply->entries.push_back(materialize(store_, p));
+      reply->entries.reserve(subset.size());
+      for (CompactPeer p : subset) reply->entries.push_back(materialize(store_, p));
     }
     send_(from, std::move(reply));
   }
-  merge(ex->entries, cyclon_view);
+  merge(ex.entries, cyclon_view);
   return true;
 }
 
 void Vicinity::merge(const std::vector<PeerDescriptor>& received,
                      const View& cyclon_view) {
-  scratch_.clear();
-  for (const CompactPeer p : view_.entries()) stage(p);
+  SelectionWorkspace& ws = SelectionWorkspace::local();
+  ws.staged.clear();
+  for (const CompactPeer p : view_.entries()) ws.stage(p);
+  const auto from_view = static_cast<std::uint32_t>(ws.staged.size());
   for (const auto& d : received) {
     store_.put_if_absent(d.id, d.values);
-    stage({d.id, d.age});
+    ws.stage({d.id, d.age});
   }
   // Exploit the CYCLON stream as an extra candidate source (two-layer
   // coupling from [9]): random entries occasionally fill empty slots.
-  for (const CompactPeer p : cyclon_view.entries()) stage(p);
-  // Winners land in kept_ before adopt() swaps it with the view; the
-  // displaced entries stay in kept_ as warm capacity for the next merge.
-  select_staged_into(cfg_.view_size, kept_);
-  view_.adopt(kept_);
-}
-
-void Vicinity::dedupe_staged(NodeId exclude) const {
-  scratch_.erase(std::remove_if(scratch_.begin(), scratch_.end(),
-                                [&](const Staged& s) {
-                                  return static_cast<NodeId>(s.key >> 32) ==
-                                             exclude ||
-                                         static_cast<std::uint32_t>(s.key) >
-                                             cfg_.max_age;
-                                }),
-                 scratch_.end());
-  // key = (id << 32) | age sorts youngest-first per id; the staging index
-  // breaks (id, age) ties so the first staged entry wins, matching the
-  // old map's insertion-order tie-break. The explicit key keeps the sort
-  // stable without std::stable_sort, whose temporary merge buffer would
-  // heap-allocate on every exchange.
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const Staged& a, const Staged& b) {
-              return a.key != b.key ? a.key < b.key : a.idx < b.idx;
-            });
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end(),
-                             [](const Staged& a, const Staged& b) {
-                               return (a.key >> 32) == (b.key >> 32);
-                             }),
-                 scratch_.end());
+  for (const CompactPeer p : cyclon_view.entries()) ws.stage(p);
+  select_staged_into(cfg_.view_size, ws.winners);
+  ws.peers.clear();
+  for (const auto& w : ws.winners) ws.peers.push_back(w.peer());
+  view_.assign(ws.peers);
+  // A winner staged from the view is the view's own entry (dedupe keeps the
+  // first staged on equal ages); any other winner is new to the view or
+  // younger than its copy there.
+  for (const auto& w : ws.winners)
+    if (w.idx >= from_view) view_.mark_fresh(w.peer().id);
 }
 
 std::vector<PeerDescriptor> Vicinity::select_best(
     std::vector<PeerDescriptor> candidates, std::size_t cap) const {
-  scratch_.clear();
+  SelectionWorkspace& ws = SelectionWorkspace::local();
+  ws.staged.clear();
   for (const auto& c : candidates) {
     store_.put_if_absent(c.id, c.values);
-    stage({c.id, c.age});
+    ws.stage({c.id, c.age});
   }
-  std::vector<CompactPeer> kept;
+  std::vector<SelectionWorkspace::Ranked> kept;
   select_staged_into(cap, kept);
   std::vector<PeerDescriptor> out;
   out.reserve(kept.size());
-  for (CompactPeer p : kept) out.push_back(materialize(store_, p));
+  for (const auto& k : kept) out.push_back(materialize(store_, k.peer()));
   return out;
 }
 
 void Vicinity::select_staged_into(std::size_t cap,
-                                  std::vector<CompactPeer>& out) const {
+                                  std::vector<SelectionWorkspace::Ranked>& out) const {
+  SelectionWorkspace& ws = SelectionWorkspace::local();
   // Dedupe by id, keeping the youngest entry; drop self and expired.
-  dedupe_staged(self_);
+  ws.dedupe(self_, cfg_.max_age);
 
-  // Group by routing slot relative to self. Key order: level asc, dim asc —
-  // level-0 cohabitants first (neighborsZero must be complete), then the
-  // near subcells. Groups become contiguous runs of the sorted flat array.
-  ranked_.clear();
-  for (const Staged& s : scratch_) {
-    const CompactPeer p{static_cast<NodeId>(s.key >> 32),
-                        static_cast<std::uint32_t>(s.key)};
-    auto slot = cells_.classify(self_coord_, store_.coord_of(p.id));
-    if (!slot) continue;  // defensive; cannot happen (see cells.h)
-    // lo swaps the staged (id, age) key halves into (age << 32) | id:
-    // youngest first within a slot group, id as the final tie-break.
-    ranked_.push_back(
-        {rank_hi(slot->level, slot->dim), (s.key << 32) | (s.key >> 32), p});
+  // Bucket by routing slot relative to self, in slot order: level-0
+  // cohabitants first (neighborsZero must be complete), then N(l,k) by
+  // level, then dimension. There are at most levels x dims + 1 buckets, so
+  // a counting sort replaces a comparison sort over all candidates.
+  const auto dims = static_cast<std::uint32_t>(cells_.space().dimensions());
+  const auto buckets =
+      static_cast<std::uint32_t>(cells_.space().max_level()) * dims + 1;
+  ws.bucket_start.assign(buckets + 1, 0);
+  ws.ranked.clear();
+  const CellIndex* self_row = self_coord_.data();
+  for (const auto& s : ws.staged) {
+    auto slot = cells_.classify(self_row, store_.coord_ptr(s.p.id));
+    if (!slot) continue;  // out-of-range coords fill no routing slot
+    const std::uint32_t b =
+        slot->level == 0 ? 0
+                         : static_cast<std::uint32_t>(slot->level - 1) * dims +
+                               static_cast<std::uint32_t>(slot->dim) + 1;
+    // lo: youngest first within a slot group, id as the final tie-break.
+    ws.ranked.push_back({b, s.idx,
+                         (static_cast<std::uint64_t>(s.p.age) << 32) | s.p.id});
+    ++ws.bucket_start[b + 1];
   }
-  // (hi, lo) = the old (level, dim, age, id) lexicographic order.
-  std::sort(ranked_.begin(), ranked_.end(), [](const Ranked& a, const Ranked& b) {
-    return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-  });
-  groups_.clear();
-  for (std::size_t i = 0; i < ranked_.size();) {
-    std::size_t j = i + 1;
-    while (j < ranked_.size() && ranked_[j].hi == ranked_[i].hi) ++j;
-    groups_.emplace_back(i, j);
-    i = j;
+  for (std::uint32_t b = 0; b < buckets; ++b)
+    ws.bucket_start[b + 1] += ws.bucket_start[b];
+  ws.bucketed.resize(ws.ranked.size());
+  for (const auto& r : ws.ranked) ws.bucketed[ws.bucket_start[r.hi]++] = r;
+  // bucket_start[b] now holds the end of bucket b (= start of b + 1).
+  std::uint32_t begin = 0;
+  for (std::uint32_t b = 0; b < buckets; ++b) {
+    const std::uint32_t end = ws.bucket_start[b];
+    if (end - begin > 1)
+      std::sort(ws.bucketed.begin() + begin, ws.bucketed.begin() + end);
+    begin = end;
   }
 
-  // Round-robin across groups: first pass gives every slot one (young)
-  // representative; later passes add backups until capacity.
+  // Round-robin across slot groups: the first pass gives every slot one
+  // (young) representative; later passes add backups until capacity.
   out.clear();
-  out.reserve(std::min(cap, ranked_.size()));
   for (std::size_t round = 0; out.size() < cap; ++round) {
     bool any = false;
-    for (const auto& [begin, end] : groups_) {
-      if (begin + round < end && out.size() < cap) {
-        out.push_back(ranked_[begin + round].p);
+    std::uint32_t first = 0;
+    for (std::uint32_t b = 0; b < buckets && out.size() < cap; ++b) {
+      const std::uint32_t end = ws.bucket_start[b];
+      if (first + round < end) {
+        out.push_back(ws.bucketed[first + round]);
         any = true;
       }
+      first = end;
     }
     if (!any) break;
   }
@@ -181,34 +178,35 @@ std::vector<PeerDescriptor> Vicinity::subset_for(const PeerDescriptor& target,
 
 void Vicinity::subset_into(NodeId target, const View& cyclon_view, std::size_t k,
                            std::vector<PeerDescriptor>& out) const {
-  scratch_.clear();
-  stage({self_, 0});  // always advertise ourselves
-  for (const CompactPeer p : view_.entries()) stage(p);
-  for (const CompactPeer p : cyclon_view.entries()) stage(p);
-  dedupe_staged(target);
+  SelectionWorkspace& ws = SelectionWorkspace::local();
+  ws.staged.clear();
+  ws.stage({self_, 0});  // always advertise ourselves
+  for (const CompactPeer p : view_.entries()) ws.stage(p);
+  for (const CompactPeer p : cyclon_view.entries()) ws.stage(p);
+  ws.dedupe(target, cfg_.max_age);
 
   // Rank by usefulness to the target: lowest common-cell level first (level
-  // 0 = same zero cell = most useful), then youngest. The level is computed
-  // once per candidate. Unclassifiable candidates rank last.
-  const CellCoord target_coord = store_.coord_of(target);
-  ranked_.clear();
-  for (const Staged& s : scratch_) {
-    const CompactPeer p{static_cast<NodeId>(s.key >> 32),
-                        static_cast<std::uint32_t>(s.key)};
-    auto slot = cells_.classify(target_coord, store_.coord_of(p.id));
-    ranked_.push_back({rank_hi(slot ? slot->level : kUnrankedLevel, 0),
-                       (s.key << 32) | (s.key >> 32), p});
+  // 0 = same zero cell = most useful), then youngest, then id.
+  // Unclassifiable candidates rank last.
+  const CellIndex* target_row = store_.coord_ptr(target);
+  ws.ranked.clear();
+  for (const auto& s : ws.staged) {
+    auto slot = cells_.classify(target_row, store_.coord_ptr(s.p.id));
+    ws.ranked.push_back({static_cast<std::uint32_t>(slot ? slot->level : kUnrankedLevel),
+                         s.idx, (static_cast<std::uint64_t>(s.p.age) << 32) | s.p.id});
   }
-  // (hi, lo) = the old (level, age, id) order (dim is constant here).
-  std::sort(ranked_.begin(), ranked_.end(), [](const Ranked& a, const Ranked& b) {
-    return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-  });
-
-  const bool truncated = ranked_.size() > k;
-  if (truncated) ranked_.resize(k);
+  // Only the best k are sent. Ids are unique after dedupe, so (hi, lo) is a
+  // total order: selecting the k smallest and sorting just those gives
+  // exactly the prefix a full sort would.
+  const bool truncated = ws.ranked.size() > k;
+  const auto keep =
+      ws.ranked.begin() + static_cast<std::ptrdiff_t>(std::min(k, ws.ranked.size()));
+  if (truncated) std::nth_element(ws.ranked.begin(), keep, ws.ranked.end());
+  std::sort(ws.ranked.begin(), keep);
   out.clear();
-  out.reserve(ranked_.size());
-  for (const auto& r : ranked_) out.push_back(materialize(store_, r.p));
+  out.reserve(static_cast<std::size_t>(keep - ws.ranked.begin()));
+  for (auto it = ws.ranked.begin(); it != keep; ++it)
+    out.push_back(materialize(store_, it->peer()));
   if (truncated) {
     // Self must always be advertised (the remove-on-exploit washout relies
     // on a live partner re-entering through its reply): if truncation cut

@@ -17,6 +17,7 @@
 
 #include "common/object_pool.h"
 #include "gossip/view.h"
+#include "gossip/workspace.h"
 #include "runtime/message.h"
 #include "space/cells.h"
 
@@ -90,6 +91,12 @@ class Vicinity {
   const View& view() const { return view_; }
   void remove(NodeId id) { view_.remove(id); }
 
+  /// The view's change feed (View::drain_fresh).
+  template <typename F>
+  void drain_fresh(bool all, F&& fn) {
+    view_.drain_fresh(all, fn);
+  }
+
   /// The selection function: keeps up to `cap` descriptors maximizing
   /// routing-slot coverage for this node — round-robin over slot groups
   /// (same-C0 first, then N(l,k) by ascending level), youngest first within
@@ -112,13 +119,11 @@ class Vicinity {
  private:
   void merge(const std::vector<PeerDescriptor>& received, const View& cyclon_view);
 
-  /// Selection core over the candidates currently staged in scratch_; fills
-  /// `out` (clearing it first) with the winning handles.
-  void select_staged_into(std::size_t cap, std::vector<CompactPeer>& out) const;
-
-  /// Dedupes scratch_ by id, keeping the youngest entry (ties: first
-  /// staged); drops `exclude` and entries older than max_age.
-  void dedupe_staged(NodeId exclude) const;
+  /// Selection core over the candidates currently staged in the thread's
+  /// SelectionWorkspace; fills `out` (clearing it first) with the winners in
+  /// selection order. Each winner keeps its staging position.
+  void select_staged_into(std::size_t cap,
+                          std::vector<SelectionWorkspace::Ranked>& out) const;
 
   NodeId self_;
   CellCoord self_coord_;
@@ -129,42 +134,6 @@ class Vicinity {
   SendFn send_;
   View view_;
   bool explore_next_ = false;
-
-  // Reused per-exchange scratch; see the allocation notes in the history of
-  // this file. Mutable because the selection functions are conceptually
-  // const; a node's events run on one thread at a time (classic loop or its
-  // shard's worker), so no synchronization.
-  /// Sort entries carry their keys inline: comparators touch only the entry
-  /// itself. hi = (level << 5) | (dim + 1), lo = (age << 32) | id: one
-  /// (hi, lo) comparison is the old (level, dim, age, id) lexicographic
-  /// order.
-  struct Ranked {
-    std::uint64_t hi;
-    std::uint64_t lo;
-    CompactPeer p;
-  };
-  static std::uint64_t rank_hi(int level, int dim) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(level)) << 5) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(dim + 1));
-  }
-  /// A staged candidate: key = (id << 32) | age, plus the staging position.
-  /// The position is the dedupe tie-break: sorting by (key, idx) with
-  /// std::sort yields exactly the order std::stable_sort by (id, age)
-  /// would — without the temporary merge buffer stable_sort heap-allocates
-  /// on every call.
-  struct Staged {
-    std::uint64_t key;
-    std::uint32_t idx;
-  };
-  void stage(CompactPeer p) const {
-    scratch_.push_back({(static_cast<std::uint64_t>(p.id) << 32) | p.age,
-                        static_cast<std::uint32_t>(scratch_.size())});
-  }
-  mutable std::vector<Staged> scratch_;
-  mutable std::vector<CompactPeer> subset_scratch_;  // random-subset fallback
-  mutable std::vector<Ranked> ranked_;
-  mutable std::vector<std::pair<std::size_t, std::size_t>> groups_;
-  std::vector<CompactPeer> kept_;  // merge() staging, swapped into view_
 };
 
 }  // namespace ares

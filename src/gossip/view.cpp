@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "gossip/workspace.h"
+
 namespace ares {
 
 bool View::contains(NodeId id) const { return find(id) != nullptr; }
@@ -16,18 +18,23 @@ const CompactPeer* View::find(NodeId id) const {
 bool View::insert_or_refresh(const CompactPeer& d) {
   for (auto& e : entries_) {
     if (e.id == d.id) {
-      if (d.age < e.age) e = d;  // younger descriptor wins
+      if (d.age < e.age) {  // younger descriptor wins
+        e = d;
+        mark_fresh(d.id);
+      }
       return true;
     }
   }
   if (full()) return false;
   entries_.push_back(d);
+  mark_fresh(d.id);
   return true;
 }
 
 void View::insert_evicting_oldest(const CompactPeer& d) {
   if (insert_or_refresh(d)) return;
   entries_[oldest_index()] = d;
+  mark_fresh(d.id);
 }
 
 void View::remove(NodeId id) {
@@ -71,20 +78,26 @@ std::vector<CompactPeer> View::random_subset(Rng& rng, std::size_t k) const {
 void View::random_subset_into(Rng& rng, std::size_t k,
                               std::vector<CompactPeer>& out) const {
   k = std::min(k, entries_.size());
-  rng.sample_indices_into(entries_.size(), k, idx_scratch_);
+  std::vector<std::size_t>& idx = SelectionWorkspace::local().indices;
+  rng.sample_indices_into(entries_.size(), k, idx);
   out.clear();
   out.reserve(k);
-  for (std::size_t i : idx_scratch_) out.push_back(entries_[i]);
+  for (std::size_t i : idx) out.push_back(entries_[i]);
 }
 
-void View::assign(std::vector<CompactPeer> v) {
+void View::assign(const std::vector<CompactPeer>& v) {
   assert(v.size() <= capacity_);
-  entries_ = std::move(v);
+  entries_.assign(v.begin(), v.end());
 }
 
-void View::adopt(std::vector<CompactPeer>& v) {
-  assert(v.size() <= capacity_);
-  entries_.swap(v);
+void View::mark_fresh(NodeId id) {
+  if (all_fresh_ || std::find(fresh_.begin(), fresh_.end(), id) != fresh_.end()) return;
+  if (fresh_.size() >= capacity_) {
+    all_fresh_ = true;
+    fresh_.clear();
+    return;
+  }
+  fresh_.push_back(id);
 }
 
 }  // namespace ares

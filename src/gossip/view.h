@@ -17,7 +17,13 @@ namespace ares {
 
 class View {
  public:
-  explicit View(std::size_t capacity) : capacity_(capacity) {}
+  /// Reserves both buffers up front: a view fills to capacity within a few
+  /// cycles, and growing by doubling would allocate on the way and leave
+  /// up to twice the capacity behind.
+  explicit View(std::size_t capacity) : capacity_(capacity) {
+    entries_.reserve(capacity);
+    fresh_.reserve(capacity);
+  }
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return entries_.size(); }
@@ -63,18 +69,39 @@ class View {
                           std::vector<CompactPeer>& out) const;
 
   /// Replaces the whole content (used by selection-function merges); the
-  /// caller guarantees |v| <= capacity and no duplicates.
-  void assign(std::vector<CompactPeer> v);
+  /// caller guarantees |v| <= capacity and no duplicates. Copies into the
+  /// view's own buffer, so its capacity is kept. Marks nothing fresh: the
+  /// caller marks the entries that are new or younger (mark_fresh).
+  void assign(const std::vector<CompactPeer>& v);
 
-  /// As assign, but swaps buffers with `v` instead of moving: both the view
-  /// and the caller's staging vector keep their warmed-up capacity. `v` is
-  /// left holding the previous entries (callers clear it on next use).
-  void adopt(std::vector<CompactPeer>& v);
+  // -- change feed ---------------------------------------------------------
+  // Entries inserted, or made younger, since the last drain_fresh(). Every
+  // insertion path above marks its entry; assign() leaves that to the
+  // caller. SelectionNode offers only these to its routing table (see
+  // SelectionNode::refresh_routing for why that suffices). Bounded by
+  // capacity(): past that the feed degrades to "every entry is fresh".
+
+  void mark_fresh(NodeId id);
+
+  /// Calls fn(entry) for every fresh entry still in the view — for every
+  /// entry when `all` is set or the feed overflowed — then empties the feed.
+  template <typename F>
+  void drain_fresh(bool all, F&& fn) {
+    if (all || all_fresh_) {
+      for (const CompactPeer e : entries_) fn(e);
+    } else {
+      for (const NodeId id : fresh_)
+        if (const CompactPeer* e = find(id)) fn(*e);
+    }
+    fresh_.clear();
+    all_fresh_ = false;
+  }
 
  private:
   std::size_t capacity_;
   std::vector<CompactPeer> entries_;
-  mutable std::vector<std::size_t> idx_scratch_;  // random_subset_into scratch
+  std::vector<NodeId> fresh_;  // distinct ids, at most capacity_
+  bool all_fresh_ = false;     // fresh_ overflowed
 };
 
 }  // namespace ares

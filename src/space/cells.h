@@ -16,6 +16,7 @@
 ///   - dim  j = k : Y's level-(l-1) index is X's sibling ("other half")
 ///   - dims j > k : Y anywhere inside C_l(X).
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -57,17 +58,46 @@ class Cells {
   /// Classifies where `other` sits relative to `self`:
   ///   - level 0  -> same level-0 cell (neighborsZero candidate)
   ///   - (l, k)   -> other in N(l,k)(self)
-  ///   - nullopt  -> other outside C_max(self)'s partition only when the two
-  ///     coords are identical in no valid slot, which cannot happen: the
-  ///     N(l,k) subcells plus C_0 partition the whole space. Hence this
-  ///     always returns a value; optional is kept for defensive callers.
+  ///   - nullopt  -> the coords share no cell up to max_level. For in-range
+  ///     coords this cannot happen (the N(l,k) subcells plus C_0 partition
+  ///     the space), but a coord with an index >= 2^max_level along some
+  ///     dimension (a descriptor from a differently-cut space) lands here;
+  ///     Vicinity ranks such candidates at kUnrankedLevel.
   std::optional<CellSlot> classify(const CellCoord& self, const CellCoord& other) const;
+
+  /// As above, over raw d-element rows (DescriptorStore::coord_ptr): the hot
+  /// paths classify against stored rows without copying either coordinate.
+  /// O(d): the shared level is the bit width of the OR of the per-dimension
+  /// XORs, and the slot dimension is the first one whose XOR reaches that
+  /// width's top bit.
+  std::optional<CellSlot> classify(const CellIndex* self, const CellIndex* other) const {
+    return classify_rows(self, other, static_cast<std::size_t>(space_->dimensions()));
+  }
 
   /// Stable hash key of the level-l cell containing `c` (keyed by level too,
   /// so keys from different levels never collide structurally).
   std::uint64_t cell_key(const CellCoord& c, int level) const;
 
  private:
+  /// Inline: it runs once per gossip candidate, several hundred times per
+  /// node-cycle.
+  std::optional<CellSlot> classify_rows(const CellIndex* self, const CellIndex* other,
+                                        std::size_t dims) const {
+    // Two coords share C_l iff every index agrees above bit l, so the
+    // smallest shared level is the bit width of the OR of the XORs.
+    CellIndex diff = 0;
+    for (std::size_t j = 0; j < dims; ++j) diff |= self[j] ^ other[j];
+    const int level = static_cast<int>(std::bit_width(diff));
+    if (level == 0) return CellSlot{0, -1};
+    if (level > space_->max_level()) return std::nullopt;  // out-of-range index
+    // `other` is in C_level(self) \ C_(level-1)(self): the slot dimension
+    // is the first whose level-(l-1) half differs.
+    for (std::size_t j = 0; j < dims; ++j)
+      if (((self[j] ^ other[j]) >> (level - 1)) != 0)
+        return CellSlot{level, static_cast<int>(j)};
+    return std::nullopt;  // unreachable: diff has bit (level-1) in some dim
+  }
+
   const AttributeSpace* space_;
 };
 

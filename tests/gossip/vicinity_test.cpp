@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "runtime/loopback.h"
 #include "space/descriptor_store.h"
@@ -250,6 +253,192 @@ TEST_F(VicinityUnit, IgnoresForeignMessages) {
     wire::Kind kind() const override { return wire::Kind::kTestBase; }
   } other;
   EXPECT_FALSE(v.handle(2, other, cyclon_view));
+}
+
+// -- randomized differential test against the sort-based selection ---------
+
+/// The sort/unique/full-sort selection that the workspace-based one replaced,
+/// kept as the oracle. Staged entries carry key = (id << 32) | age and their
+/// staging position; dedupe sorts by (key, position) and keeps the first
+/// entry per id; ranking sorts (hi, lo) with hi = (level << 5) | (dim + 1)
+/// and lo = (age << 32) | id.
+struct SortOracle {
+  const Cells& cells;
+  const DescriptorStore& store;
+  NodeId self;
+  CellCoord self_coord;
+  std::uint32_t max_age;
+
+  struct Staged {
+    std::uint64_t key;
+    std::uint32_t idx;
+  };
+  struct Ranked {
+    std::uint64_t hi;
+    std::uint64_t lo;
+    CompactPeer p;
+  };
+
+  static std::uint64_t rank_hi(int level, int dim) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(level)) << 5) |
+           static_cast<std::uint64_t>(static_cast<std::uint32_t>(dim + 1));
+  }
+
+  static void stage(std::vector<Staged>& st, CompactPeer p) {
+    st.push_back({(static_cast<std::uint64_t>(p.id) << 32) | p.age,
+                  static_cast<std::uint32_t>(st.size())});
+  }
+
+  void dedupe(std::vector<Staged>& st, NodeId exclude) const {
+    st.erase(std::remove_if(st.begin(), st.end(),
+                            [&](const Staged& s) {
+                              return static_cast<NodeId>(s.key >> 32) == exclude ||
+                                     static_cast<std::uint32_t>(s.key) > max_age;
+                            }),
+             st.end());
+    std::sort(st.begin(), st.end(), [](const Staged& a, const Staged& b) {
+      return a.key != b.key ? a.key < b.key : a.idx < b.idx;
+    });
+    st.erase(std::unique(st.begin(), st.end(),
+                         [](const Staged& a, const Staged& b) {
+                           return (a.key >> 32) == (b.key >> 32);
+                         }),
+             st.end());
+  }
+
+  static CompactPeer peer_of(const Staged& s) {
+    return {static_cast<NodeId>(s.key >> 32), static_cast<std::uint32_t>(s.key)};
+  }
+
+  static void sort_ranked(std::vector<Ranked>& r) {
+    std::sort(r.begin(), r.end(), [](const Ranked& a, const Ranked& b) {
+      return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+    });
+  }
+
+  std::vector<NodeId> select(std::vector<Staged> st, std::size_t cap) const {
+    dedupe(st, self);
+    std::vector<Ranked> ranked;
+    for (const Staged& s : st) {
+      auto slot = cells.classify(self_coord, store.coord_of(peer_of(s).id));
+      if (!slot) continue;
+      ranked.push_back({rank_hi(slot->level, slot->dim), (s.key << 32) | (s.key >> 32),
+                        peer_of(s)});
+    }
+    sort_ranked(ranked);
+    std::vector<std::pair<std::size_t, std::size_t>> groups;
+    for (std::size_t i = 0; i < ranked.size();) {
+      std::size_t j = i + 1;
+      while (j < ranked.size() && ranked[j].hi == ranked[i].hi) ++j;
+      groups.emplace_back(i, j);
+      i = j;
+    }
+    std::vector<NodeId> out;
+    for (std::size_t round = 0; out.size() < cap; ++round) {
+      bool any = false;
+      for (const auto& [begin, end] : groups) {
+        if (begin + round < end && out.size() < cap) {
+          out.push_back(ranked[begin + round].p.id);
+          any = true;
+        }
+      }
+      if (!any) break;
+    }
+    return out;
+  }
+
+  std::vector<std::pair<NodeId, std::uint32_t>> subset(const View& own,
+                                                       const View& cyclon, NodeId target,
+                                                       std::size_t k) const {
+    std::vector<Staged> st;
+    stage(st, {self, 0});
+    for (const CompactPeer p : own.entries()) stage(st, p);
+    for (const CompactPeer p : cyclon.entries()) stage(st, p);
+    dedupe(st, target);
+    const CellCoord target_coord = store.coord_of(target);
+    std::vector<Ranked> ranked;
+    for (const Staged& s : st) {
+      auto slot = cells.classify(target_coord, store.coord_of(peer_of(s).id));
+      ranked.push_back({rank_hi(slot ? slot->level : kUnrankedLevel, 0),
+                        (s.key << 32) | (s.key >> 32), peer_of(s)});
+    }
+    sort_ranked(ranked);
+    const bool truncated = ranked.size() > k;
+    if (truncated) ranked.resize(k);
+    std::vector<std::pair<NodeId, std::uint32_t>> out;
+    for (const auto& r : ranked) out.emplace_back(r.p.id, r.p.age);
+    if (truncated) {
+      bool has_self = false;
+      for (const auto& e : out) has_self = has_self || e.first == self;
+      if (!has_self && !out.empty()) out.back() = {self, 0};
+    }
+    return out;
+  }
+};
+
+/// select_best and subset_for on random candidate multisets: duplicate ids
+/// (the id pool is small), equal ages, self, the subset target, and entries
+/// past max_age all occur. Run once with a store cut like the ranking space
+/// and once with a store cut twice as fine along every dimension, whose
+/// coordinates the ranking space partly cannot classify.
+TEST(VicinityDifferential, SelectionMatchesSortOracle) {
+  for (int store_level : {3, 4}) {
+    const auto space = AttributeSpace::uniform(3, 3, 0, 80);
+    const auto store_space = AttributeSpace::uniform(3, store_level, 0, 80);
+    const Cells cells(space);
+    DescriptorStore store(store_space);
+    Rng rng(static_cast<std::uint64_t>(97 + store_level));
+    constexpr NodeId kPool = 60;
+    for (NodeId id = 0; id < kPool; ++id)
+      store.put(id, {static_cast<AttrValue>(rng.below(80)),
+                     static_cast<AttrValue>(rng.below(80)),
+                     static_cast<AttrValue>(rng.below(80))});
+    for (int trial = 0; trial < 400; ++trial) {
+      const NodeId self = static_cast<NodeId>(rng.below(kPool));
+      const CellCoord self_coord = store.coord_of(self);
+      VicinityConfig cfg;
+      cfg.view_size = 1 + rng.below(24);
+      cfg.max_age = static_cast<std::uint32_t>(5 + rng.below(20));
+      Rng vrng(1);
+      Vicinity v(self, self_coord, cells, store, cfg, vrng, [](NodeId, MessagePtr) {});
+      const SortOracle oracle{cells, store, self, self_coord, cfg.max_age};
+      auto random_peer = [&] {
+        return CompactPeer{static_cast<NodeId>(rng.below(kPool)),
+                           static_cast<std::uint32_t>(rng.below(cfg.max_age + 6))};
+      };
+
+      std::vector<PeerDescriptor> cands;
+      std::vector<SortOracle::Staged> staged;
+      const std::size_t n = rng.below(70);
+      for (std::size_t i = 0; i < n; ++i) {
+        const CompactPeer p = rng.below(8) == 0 ? CompactPeer{self, 0} : random_peer();
+        cands.push_back(materialize(store, p));
+        SortOracle::stage(staged, p);
+      }
+      const std::size_t cap = 1 + rng.below(30);
+      std::vector<NodeId> got;
+      for (const auto& d : v.select_best(cands, cap)) got.push_back(d.id);
+      ASSERT_EQ(got, oracle.select(staged, cap)) << "trial " << trial;
+
+      // Fill the view through seed() (the merge path), then rank subsets.
+      View cyclon(20);
+      for (std::size_t i = 0, m = rng.below(25); i < m; ++i) {
+        const CompactPeer p = random_peer();
+        if (p.id != self) cyclon.insert_evicting_oldest(p);
+      }
+      std::vector<PeerDescriptor> contacts;
+      for (std::size_t i = 0, m = rng.below(30); i < m; ++i)
+        contacts.push_back(materialize(store, random_peer()));
+      v.seed(contacts, cyclon);
+      const NodeId target =
+          rng.below(4) == 0 ? self : static_cast<NodeId>(rng.below(kPool));
+      const std::size_t k = rng.below(16);
+      std::vector<std::pair<NodeId, std::uint32_t>> subset;
+      for (const auto& d : v.subset_for(materialize(store, {target, 0}), cyclon, k))
+        subset.emplace_back(d.id, d.age);
+      ASSERT_EQ(subset, oracle.subset(v.view(), cyclon, target, k)) << "trial " << trial;
+    }
+  }
 }
 
 }  // namespace

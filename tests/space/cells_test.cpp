@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace ares {
@@ -147,6 +150,99 @@ TEST(Cells, ClassifyNeverFailsOnRandomCoords) {
       b[static_cast<std::size_t>(j)] = static_cast<CellIndex>(rng.below(16));
     }
     EXPECT_TRUE(c.classify(a, b).has_value());
+  }
+}
+
+/// The level-loop classification the O(d) row classifier replaced, kept as
+/// the oracle: raise the level until both coords share a cell, give up above
+/// max_level, then take the first dimension whose level-(l-1) half differs.
+std::optional<CellSlot> classify_by_level_loop(const CellIndex* a, const CellIndex* b,
+                                               int dims, int max_level) {
+  auto same = [&](int level) {
+    for (int j = 0; j < dims; ++j)
+      if (Cells::at_level(a[j], level) != Cells::at_level(b[j], level)) return false;
+    return true;
+  };
+  int level = 0;
+  while (level < max_level && !same(level)) ++level;
+  if (!same(level)) return std::nullopt;
+  if (level == 0) return CellSlot{0, -1};
+  for (int j = 0; j < dims; ++j)
+    if (Cells::at_level(a[j], level - 1) != Cells::at_level(b[j], level - 1))
+      return CellSlot{level, j};
+  return std::nullopt;
+}
+
+/// Every coordinate whose per-dimension index is in [0, 2^L], i.e. the whole
+/// grid plus one out-of-range index per dimension, as flat d-element rows.
+std::vector<CellIndex> all_coords(int dims, int max_level) {
+  const CellIndex per_dim = (CellIndex{1} << max_level) + 1;
+  std::vector<CellIndex> rows;
+  std::vector<CellIndex> c(static_cast<std::size_t>(dims), 0);
+  while (true) {
+    rows.insert(rows.end(), c.begin(), c.end());
+    int j = 0;
+    while (j < dims && ++c[static_cast<std::size_t>(j)] == per_dim)
+      c[static_cast<std::size_t>(j++)] = 0;
+    if (j == dims) break;
+  }
+  return rows;
+}
+
+TEST(Cells, RowClassifyMatchesLevelLoopExhaustively) {
+  for (int dims : {1, 2, 3, 5}) {
+    for (int max_level : {1, 3, 4}) {
+      auto s = AttributeSpace::uniform(dims, max_level, 0, 80);
+      Cells c(s);
+      const std::vector<CellIndex> rows = all_coords(dims, max_level);
+      const std::size_t d = static_cast<std::size_t>(dims);
+      const std::size_t n = rows.size() / d;
+      // Every ordered pair where that is at most 25M pairs (d <= 3, and
+      // d = 5 at max_level 1). Above that (d = 5 at max_levels 3 and 4:
+      // 3.5e9 and 2e12 pairs) every `other` is checked against a strided
+      // sample of about 4M / n `self` rows, plus the last row below.
+      const std::size_t stride =
+          n * n <= 25'000'000 ? 1 : std::max<std::size_t>(1, n * n / 4'000'000);
+      std::size_t checked = 0;
+      for (std::size_t i = 0; i < n; i += stride) {
+        const CellIndex* a = &rows[i * d];
+        for (std::size_t k = 0; k < n; ++k) {
+          const CellIndex* b = &rows[k * d];
+          const auto want = classify_by_level_loop(a, b, dims, max_level);
+          const auto got = c.classify(a, b);
+          if (got != want) {
+            ADD_FAILURE() << "d=" << dims << " L=" << max_level << " self row " << i
+                          << " other row " << k;
+            return;
+          }
+          ++checked;
+        }
+      }
+      if (stride != 1) {  // the last row: every index out of range
+        const CellIndex* a = &rows[(n - 1) * d];
+        for (std::size_t k = 0; k < n; ++k)
+          ASSERT_EQ(c.classify(a, &rows[k * d]),
+                    classify_by_level_loop(a, &rows[k * d], dims, max_level));
+      }
+      EXPECT_GT(checked, n);
+    }
+  }
+}
+
+TEST(Cells, RowClassifyOutOfRangeIndexIsUnclassified) {
+  for (int max_level : {1, 3, 4}) {
+    auto s = AttributeSpace::uniform(3, max_level, 0, 80);
+    Cells c(s);
+    const CellIndex top = CellIndex{1} << max_level;
+    for (CellIndex oor : {top, top + 1, 2 * top - 1, 2 * top, CellIndex{1} << 20}) {
+      const CellIndex self[3] = {0, 0, 0};
+      const CellIndex other[3] = {0, oor, 0};
+      EXPECT_EQ(c.classify(self, other), std::nullopt) << "L=" << max_level << " " << oor;
+      // The CellCoord overload agrees.
+      EXPECT_EQ(c.classify(CellCoord{0, 0, 0}, CellCoord{0, oor, 0}), std::nullopt);
+      // Identical out-of-range coords still share their level-0 cell.
+      EXPECT_EQ(c.classify(other, other), (CellSlot{0, -1}));
+    }
   }
 }
 
