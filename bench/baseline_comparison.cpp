@@ -165,7 +165,6 @@ int main() {
   const std::size_t threads = exp::resolve_threads(jobs.size());
   exp::BenchReport report("baseline_comparison");
   report.set_threads(threads);
-  report.set_shards(s.shards);
   auto results = exp::run_jobs<Outcome>(jobs, threads);
 
   const char* names[] = {"cell overlay (ours)", "flooding (Zorilla-like)",

@@ -31,14 +31,11 @@ struct Setup {
   std::uint64_t sigma = 50;
   std::size_t queries = 50;
   std::uint64_t seed = 1;
-  /// 0 = classic single-queue event loop; >= 1 enables sharded execution
-  /// (Grid::Config::shards). Outputs are identical at any value >= 1.
-  std::uint32_t shards = 0;
 };
 
 /// Reads the paper's Table 1 defaults, each overridable via environment:
 /// ARES_N, ARES_DIMS, ARES_LEVELS, ARES_F, ARES_SIGMA (0 = infinity),
-/// ARES_QUERIES, ARES_SEED, ARES_SHARDS.
+/// ARES_QUERIES, ARES_SEED.
 inline Setup read_setup(std::size_t default_n, std::size_t default_queries = 50) {
   Setup s;
   s.n = option_u64("N", default_n);
@@ -48,7 +45,6 @@ inline Setup read_setup(std::size_t default_n, std::size_t default_queries = 50)
   s.sigma = option_u64("SIGMA", 50);
   s.queries = option_u64("QUERIES", default_queries);
   s.seed = option_u64("SEED", 1);
-  s.shards = static_cast<std::uint32_t>(option_u64("SHARDS", 0));
   return s;
 }
 
@@ -86,7 +82,6 @@ inline std::unique_ptr<Grid> make_oracle_grid(const Setup& s,
   cfg.oracle = true;
   cfg.latency = latency;
   cfg.seed = s.seed;
-  cfg.shards = s.shards;
   cfg.protocol.gossip_enabled = false;
   cfg.track_visited = track_visited;
   PointGen gen = std::string(dist) == "normal" ? hotspot_points(cfg.space)
@@ -113,7 +108,6 @@ inline std::unique_ptr<Grid> make_gossip_grid(const Setup& s,
   cfg.convergence = convergence;
   cfg.latency = latency;
   cfg.seed = s.seed;
-  cfg.shards = s.shards;
   cfg.protocol.gossip_enabled = true;
   cfg.protocol.query_timeout =
       from_seconds(option_double("TIMEOUT_S", default_timeout_s));

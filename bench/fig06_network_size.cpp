@@ -7,11 +7,10 @@
 ///
 /// Default sizes stop at 30,000 to keep the run short; set
 /// ARES_MAX_N=100000 for the paper-scale point or ARES_MAX_N=1000000 for
-/// the million-node point (sharded execution + DescriptorStore; see
-/// DESIGN.md), and ARES_MIN_N to skip the small sizes (the CI bench-smoke
-/// profile runs the large points alone). Sweep points run in parallel
-/// (ARES_THREADS workers); output is identical at any thread count, and —
-/// with ARES_SHARDS >= 1 — at any shard count. Exits nonzero if any trial
+/// the million-node point (compact descriptor storage; see DESIGN.md §8),
+/// and ARES_MIN_N to skip the small sizes (the CI bench-smoke profile runs
+/// the large points alone). Sweep points run in parallel (ARES_THREADS
+/// workers); output is identical at any thread count. Exits nonzero if any trial
 /// executed late events (at paper scale a silently overloaded event queue
 /// would invalidate the overhead numbers) or if peak RSS per node regresses
 /// more than 15% over the recorded baseline at the 100k/1M points.
@@ -44,7 +43,6 @@ int main() {
   const std::size_t threads = exp::resolve_threads(sizes.size());
   exp::BenchReport report("fig06_network_size");
   report.set_threads(threads);
-  report.set_shards(s.shards);
 
   auto results = exp::run_trials(
       sizes,
@@ -103,7 +101,7 @@ int main() {
       rss_limit = b.bytes_per_node * 1.15;
       rss_regressed = bytes_per_node > rss_limit;
       // stderr, not stdout: host telemetry varies run to run, and stdout is
-      // diffed byte-for-byte across shard counts in CI bench-smoke.
+      // diffed byte-for-byte across thread counts in CI bench-smoke.
       std::cerr << "peak RSS: " << peak_rss << " bytes (" << exp::fmt(bytes_per_node)
                 << " bytes/node; gate " << exp::fmt(rss_limit) << ")\n";
     }

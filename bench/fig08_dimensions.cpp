@@ -70,7 +70,6 @@ int main() {
   const std::size_t threads = exp::resolve_threads(configs.size());
   exp::BenchReport report("fig08_dimensions");
   report.set_threads(threads);
-  report.set_shards(s.shards);
 
   auto results = exp::run_trials(
       configs,

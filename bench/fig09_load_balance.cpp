@@ -163,7 +163,6 @@ int main() {
   const std::size_t threads = exp::resolve_threads(jobs.size());
   exp::BenchReport report("fig09_load_balance");
   report.set_threads(threads);
-  report.set_shards(s.shards);
   auto results = exp::run_jobs<JobOut>(jobs, threads);
   for (const auto& r : results) report.add_events(r.totals.events, r.totals.late);
 

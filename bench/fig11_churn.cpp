@@ -95,7 +95,6 @@ int main() {
   const std::size_t threads = exp::resolve_threads(panels.size());
   exp::BenchReport report("fig11_churn");
   report.set_threads(threads);
-  report.set_shards(s.shards);
 
   auto results = exp::run_trials(
       panels, [&s](const PanelConfig& c, std::size_t) { return run_panel(c, s); },

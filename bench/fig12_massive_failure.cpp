@@ -78,7 +78,6 @@ int main() {
   const std::size_t threads = exp::resolve_threads(panels.size());
   exp::BenchReport report("fig12_massive_failure");
   report.set_threads(threads);
-  report.set_shards(s.shards);
 
   auto results = exp::run_trials(
       panels,

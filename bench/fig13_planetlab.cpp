@@ -33,7 +33,6 @@ int main() {
 
   exp::BenchReport report("fig13_planetlab");
   report.set_threads(1);  // single long trial; nothing to fan out
-  report.set_shards(s.shards);
 
   // Run as a (single-config) trial for uniformity with the other figure
   // binaries: the worker returns data, the main thread prints.

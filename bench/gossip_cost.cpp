@@ -38,7 +38,6 @@ int main() {
 
   exp::BenchReport report("gossip_cost");
   report.set_threads(1);  // single trial; nothing to fan out
-  report.set_shards(s.shards);
 
   const std::vector<int> one{0};
   auto results = exp::run_trials(one, [&](int, std::size_t) {

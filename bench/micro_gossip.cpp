@@ -1,8 +1,9 @@
 /// Gossip steady-state microbenchmark with heap-allocation accounting.
 ///
 /// Drives a small cluster of CYCLON + Vicinity + RoutingTable stacks (the
-/// exact per-cycle work SelectionNode::gossip_tick performs) with immediate
-/// in-process message delivery, and reports ns and heap allocations per
+/// exact per-cycle work SelectionNode::gossip_tick performs, including its
+/// incremental routing refresh) with in-process message delivery right
+/// after each tick, and reports ns and heap allocations per
 /// node-cycle at d in {2, 3, 5} in BENCH_micro_gossip.json.
 ///
 /// The allocation count is a CI regression gate, like micro_sim's delivery
@@ -15,14 +16,12 @@
 ///
 /// ARES_MICRO_CYCLES scales the measured cycles (default 2000 per d).
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "alloc_count.h"
 #include "common/options.h"
 #include "common/rng.h"
 #include "core/routing_table.h"
@@ -33,27 +32,6 @@
 #include "space/cells.h"
 #include "space/descriptor_store.h"
 #include "workload/distributions.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-// Process-wide allocation counter: every operator new in this binary bumps
-// g_allocs (same scheme as bench/micro_sim.cpp).
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -68,7 +46,7 @@ struct GossipHost {
   std::unique_ptr<RoutingTable> rt;
 };
 
-/// A cluster of hosts exchanging messages synchronously (no simulator: the
+/// A cluster of hosts exchanging messages in process (no simulator: the
 /// bench isolates the gossip layers' own work from event-queue costs).
 class Cluster {
  public:
@@ -87,7 +65,7 @@ class Cluster {
       auto host = std::make_unique<GossipHost>();
       host->id = i;
       auto send = [this, i](NodeId to, MessagePtr m) {
-        deliver(i, to, std::move(m));
+        inbox_.push_back({i, to, std::move(m)});
       };
       host->cyclon =
           std::make_unique<Cyclon>(i, store_, CyclonConfig{}, rng_, send);
@@ -110,27 +88,48 @@ class Cluster {
   std::size_t size() const { return hosts_.size(); }
 
   /// One gossip node-cycle: what SelectionNode::gossip_tick does per node,
-  /// including the synchronous handling of every triggered exchange.
+  /// then the handling of every exchange it triggered. As in the simulator,
+  /// no message is delivered inside the tick that sent it, so every refresh
+  /// runs outside a tick and may leave the table marked refreshed.
   void node_cycle(std::size_t i) {
     GossipHost& h = *hosts_[i];
     h.cyclon->tick();
     h.vicinity->tick(h.cyclon->view());
-    h.rt->age_all();
+    h.rt->age_all_with_views();
     h.rt->drop_older_than(50);
-    for (const auto& d : h.cyclon->view().entries()) h.rt->offer(d);
-    for (const auto& d : h.vicinity->view().entries()) h.rt->offer(d);
+    refresh_routing(h);
+    // Requests, then the replies they trigger, in send order.
+    for (std::size_t k = 0; k < inbox_.size(); ++k) {
+      Pending p = std::move(inbox_[k]);
+      GossipHost& dst = *hosts_[p.to];
+      if (dst.cyclon->handle(p.from, *p.msg) ||
+          dst.vicinity->handle(p.from, *p.msg, dst.cyclon->view()))
+        refresh_routing(dst);
+    }
+    inbox_.clear();
   }
 
  private:
-  void deliver(NodeId from, NodeId to, MessagePtr m) {
-    GossipHost& h = *hosts_[to];
-    if (h.cyclon->handle(from, *m)) return;
-    h.vicinity->handle(from, *m, h.cyclon->view());
+  struct Pending {
+    NodeId from;
+    NodeId to;
+    MessagePtr msg;
+  };
+
+  /// SelectionNode::refresh_routing: offer only the views' change feeds
+  /// unless the table went stale since the last refresh.
+  static void refresh_routing(GossipHost& h) {
+    const bool full = h.rt->refresh_stale();
+    auto offer = [&h](CompactPeer c) { h.rt->offer(c); };
+    h.cyclon->drain_fresh(full, offer);
+    h.vicinity->drain_fresh(full, offer);
+    h.rt->mark_refreshed();
   }
 
   Rng rng_{42};
   DescriptorStore store_;
   std::vector<std::unique_ptr<GossipHost>> hosts_;
+  std::vector<Pending> inbox_;  // capacity reused across cycles
 };
 
 struct MicroResult {
@@ -151,11 +150,11 @@ MicroResult bench_dims(int dims, std::uint64_t cycles) {
   // steady-state capacity.
   for (std::uint64_t c = 0; c < 200; ++c) sweep();
 
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = bench::alloc_count();
   const auto t0 = Clock::now();
   for (std::uint64_t c = 0; c < cycles; ++c) sweep();
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = bench::alloc_count();
 
   const double node_cycles = static_cast<double>(cycles * cluster.size());
   MicroResult r;

@@ -18,15 +18,13 @@
 ///
 /// ARES_MICRO_OPS scales the op counts (default 1,000,000 queue ops).
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
-#include <new>
 #include <queue>
 #include <vector>
 
+#include "alloc_count.h"
 #include "common/options.h"
 #include "common/rng.h"
 #include "exp/bench_json.h"
@@ -39,28 +37,6 @@
 #include "space/cells.h"
 #include "space/descriptor_store.h"
 #include "workload/distributions.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-// Process-wide allocation counter: every operator new in this binary bumps
-// g_allocs. Array and sized-delete forms forward to malloc/free directly;
-// over-aligned types are not used by the measured code paths.
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -125,14 +101,14 @@ MicroResult bench_queue(std::uint64_t ops) {
     push_one();
     q.pop()();
   }
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = bench::alloc_count();
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < ops; ++i) {
     push_one();
     q.pop()();
   }
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = bench::alloc_count();
   MicroResult r;
   r.ns_per_op = secs * 1e9 / static_cast<double>(ops);
   r.allocs_per_op = static_cast<double>(a1 - a0) / static_cast<double>(ops);
@@ -219,11 +195,11 @@ MicroResult bench_delivery(std::uint64_t deliveries) {
   };
   run_to(10'000);  // warm: pool primed, queue/stat containers at capacity
   const std::uint64_t d0 = PingNode::delivered;
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = bench::alloc_count();
   const auto t0 = Clock::now();
   run_to(d0 + deliveries);
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = bench::alloc_count();
   const std::uint64_t done = PingNode::delivered - d0;
   MicroResult r;
   r.ns_per_op = secs * 1e9 / static_cast<double>(done);
@@ -259,14 +235,14 @@ MicroResult bench_vicinity(std::uint64_t ops) {
     sink += vic.subset_for(target, cyclon, 10).size();
     sink += vic.select_best(candidates, 20).size();
   }
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = bench::alloc_count();
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < ops; ++i) {
     sink += vic.subset_for(target, cyclon, 10).size();
     sink += vic.select_best(candidates, 20).size();
   }
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = bench::alloc_count();
   MicroResult r;
   r.ns_per_op = secs * 1e9 / static_cast<double>(ops);
   r.allocs_per_op = static_cast<double>(a1 - a0) / static_cast<double>(ops);

@@ -27,8 +27,8 @@
 ///
 /// Scale knobs: ARES_N (10,000 default; ARES_MAX_N=100000 adds the 100k
 /// point), ARES_QUERIES arrivals (2,000), ARES_RATE_QPS (2,000),
-/// ARES_PORTALS (16), ARES_POOL (16 shapes), ARES_F (0.01), ARES_SHARDS.
-/// Stdout is byte-identical across ARES_THREADS and ARES_SHARDS settings;
+/// ARES_PORTALS (16), ARES_POOL (16 shapes), ARES_F (0.01).
+/// Stdout is byte-identical across ARES_THREADS settings;
 /// wall-clock telemetry goes to stderr and the JSON only.
 
 #include <chrono>
@@ -104,7 +104,6 @@ int main() {
   const std::size_t threads = exp::resolve_threads(trials.size());
   exp::BenchReport report("query_throughput");
   report.set_threads(threads);
-  report.set_shards(s.shards);
 
   auto results = exp::run_trials(
       trials,
@@ -117,7 +116,6 @@ int main() {
         cfg.oracle = true;
         cfg.latency = "wan";
         cfg.seed = cur.seed;
-        cfg.shards = cur.shards;
         cfg.protocol.gossip_enabled = false;
         cfg.track_visited = false;
         if (tc.mode >= 1)

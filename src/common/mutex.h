@@ -53,8 +53,6 @@ namespace ares {
 namespace lockrank {
 /// exp/parallel.cpp — first-exception slot of the trial worker pool.
 inline constexpr int kParallelPool = 10;
-/// sim/sharded.h — ShardEngine window-barrier handshake.
-inline constexpr int kShardPool = 20;
 /// core/query_stats.h — per-query observer accounting.
 inline constexpr int kQueryStats = 30;
 /// runtime/metrics.h — shared distribution registry.
@@ -72,7 +70,7 @@ inline constexpr bool kMutexRankChecks = true;
 class ARES_CAPABILITY("mutex") Mutex {
  public:
   /// \param name  stable human-readable identity, printed by the rank
-  ///              checker ("sim.shard.pool"); must outlive the mutex
+  ///              checker ("core.query_stats"); must outlive the mutex
   ///              (string literals do).
   /// \param rank  position in the lock hierarchy (lockrank::*).
   explicit Mutex(const char* name, int rank) : name_(name), rank_(rank) {}

@@ -15,7 +15,7 @@
 ///   - every shared mutable field is either (a) annotated with
 ///     ARES_GUARDED_BY(its mutex), (b) a std::atomic with an
 ///     `// ordering:` note, or (c) covered by a documented ownership
-///     argument (per-shard / coordinator-only phases);
+///     argument (per-slot / single-writer phases);
 ///   - mutexes are ares::Mutex (common/mutex.h), never raw std::mutex —
 ///     lint rule "raw-mutex";
 ///   - functions that must be called with a lock held are annotated

@@ -11,15 +11,16 @@
 ///   - forwards: query-message hops (per query and total), the denominator
 ///     of hops-per-query in the throughput benchmarks.
 ///
-/// Mutators and accessors are internally locked: under the sharded
-/// simulator with concurrent in-flight queries (exp/load.h), observer
-/// callbacks fire on different shard workers within one lookahead window.
+/// Mutators and accessors are internally locked: one QueryStats is a shared
+/// QueryObserver that any number of nodes report into, and nothing ties
+/// those nodes to one thread (several UdpRuntime threads in one process may
+/// share an observer), while a driver thread may read totals mid-run.
 /// Updates are commutative integer bumps into per-QueryId rows, so the
 /// post-run state is deterministic regardless of interleaving. Scalar
 /// accessors take the lock (cold path) and are safe mid-run; find() and
 /// per_query() hand out references into the map and remain quiescent-read
-/// contracts — call them post-run or between steps, never while shard
-/// workers may mutate (std::map nodes are stable across inserts, but the
+/// contracts — call them post-run or between steps, never while observers
+/// may mutate (std::map nodes are stable across inserts, but the
 /// pointed-to rows are not locked once returned).
 
 #include <map>

@@ -142,9 +142,8 @@ bool BenchReport::write() {
     out += "  " + rendered + (last ? "\n" : ",\n");
   };
   field(json_quote("name") + ": " + json_quote(name_));
-  field(json_quote("schema_version") + ": 4");
+  field(json_quote("schema_version") + ": 5");
   field(json_quote("threads") + ": " + std::to_string(threads_));
-  field(json_quote("shards") + ": " + std::to_string(shards_));
   field(json_quote("backend") + ": " + json_quote(backend_));
   field(json_quote("processes") + ": " + std::to_string(processes_));
   field(json_quote("fault_loss") + ": " + render_double(fault_loss_));

@@ -5,13 +5,12 @@
 ///
 /// Every bench binary writes BENCH_<name>.json next to its console output
 /// so the perf trajectory is tracked across PRs (CI archives the files).
-/// Schema (version 1):
+/// Schema (version 5):
 ///
 ///   {
 ///     "name": "fig06_network_size",
-///     "schema_version": 4,
+///     "schema_version": 5,
 ///     "threads": 8,                  // worker threads used for the sweep
-///     "shards": 0,                   // ARES_SHARDS (0 = classic event loop)
 ///     "backend": "sim",              // "sim" (in-process event loop) or
 ///                                    // "udp" (real processes over sockets)
 ///     "processes": 1,                // OS processes driving the run
@@ -44,6 +43,9 @@
 /// schema v3 -> v4: added "wire_delta" so compressed and uncompressed runs
 /// of the same bench are distinguishable in the perf trajectory (the byte
 /// counters measure what actually crossed the wire).
+/// schema v4 -> v5: dropped "shards". The sharded simulator engine was
+/// deleted (it never ran faster than the single-queue loop), so every sim
+/// run uses the one event loop and the field could only ever read 0.
 ///
 /// The output directory is ARES_BENCH_DIR when set, else the working
 /// directory. The report is written by write() — call it once, after all
@@ -101,9 +103,6 @@ class BenchReport {
   /// Records the worker-thread count used for the sweep.
   void set_threads(std::size_t threads) { threads_ = threads; }
 
-  /// Records the per-simulation shard count (0 = classic event loop).
-  void set_shards(std::uint32_t shards) { shards_ = shards; }
-
   /// Records which runtime backend executed the run ("sim" by default,
   /// "udp" for the multi-process deployment driver).
   void set_backend(std::string_view backend) { backend_ = backend; }
@@ -136,7 +135,6 @@ class BenchReport {
   std::string name_;
   std::chrono::steady_clock::time_point start_;
   std::size_t threads_ = 1;
-  std::uint32_t shards_ = 0;
   std::string backend_ = "sim";
   std::uint64_t processes_ = 1;
   double fault_loss_ = 0.0;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "sim/latency.h"
-#include "space/cells.h"
 
 namespace ares {
 namespace {
@@ -28,20 +27,7 @@ Grid::Grid(Config cfg, PointGenerator generator)
       stats_(std::make_unique<QueryStats>(cfg_.track_visited)),
       node_seeder_(cfg_.seed ^ 0xA5A5A5A5ULL) {
   assert(generator_ != nullptr);
-  auto latency = latency_from_name(cfg_.latency, cfg_.seed);
-  if (cfg_.shards > 0) {
-    // The latency floor is the lookahead window: every message crosses a
-    // window barrier, which is what makes the sharded drain deterministic.
-    if (!latency->concurrent_safe())
-      throw std::invalid_argument("Grid: latency model '" + cfg_.latency +
-                                  "' cannot run under sharded execution");
-    const SimTime window = latency->min_latency();
-    if (window <= 0)
-      throw std::invalid_argument(
-          "Grid: sharded execution needs a positive latency floor");
-    sim_->enable_sharding(cfg_.shards, window);
-  }
-  net_ = std::make_unique<Network>(*sim_, std::move(latency));
+  net_ = std::make_unique<Network>(*sim_, latency_from_name(cfg_.latency, cfg_.seed));
   store_->reserve(cfg_.nodes);
   if (cfg_.trace_queries) tracer_ = std::make_unique<QueryTracer>(stats_.get());
   for (std::size_t i = 0; i < cfg_.nodes; ++i) add_node();
@@ -76,10 +62,7 @@ std::vector<PeerDescriptor> Grid::sample_introducers(std::size_t k) {
 }
 
 NodeId Grid::add_node(Point values) {
-  std::uint32_t shard = 0;
-  if (cfg_.shards > 0)
-    shard = shard_of_coord(cfg_.space, cfg_.space.coord_of(values), cfg_.shards);
-  return net_->add_node(make_node(std::move(values)), shard);
+  return net_->add_node(make_node(std::move(values)));
 }
 
 NodeId Grid::add_node() { return add_node(generator_(node_seeder_)); }
@@ -113,18 +96,19 @@ void Grid::rebootstrap() { oracle_bootstrap(*net_, cfg_.space, cfg_.oracle_optio
 
 Grid::QueryOutcome Grid::run_query(NodeId origin, const RangeQuery& q,
                                    std::uint32_t sigma, SimTime horizon) {
-  QueryOutcome out;
+  // The callback owns the outcome: a query that outlives `horizon` completes
+  // after this frame has returned, so nothing it writes may live here.
+  auto out = std::make_shared<QueryOutcome>();
   const SimTime issued = sim_->now();
-  bool done = false;
-  out.id = node(origin).submit(q, sigma, [&](const std::vector<MatchRecord>& m) {
-    out.completed = true;
-    out.matches = m;
-    out.latency = sim_->now() - issued;
-    done = true;
-  });
+  auto on_done = [this, out, issued](const std::vector<MatchRecord>& m) {
+    out->completed = true;
+    out->matches = m;
+    out->latency = sim_->now() - issued;
+  };
+  out->id = node(origin).submit(q, sigma, std::move(on_done));
   const SimTime deadline = issued + horizon;
-  while (!done && !sim_->idle() && sim_->now() <= deadline) sim_->step();
-  return out;
+  while (!out->completed && !sim_->idle() && sim_->now() <= deadline) sim_->step();
+  return std::move(*out);
 }
 
 QueryId Grid::submit(NodeId origin, const RangeQuery& q, std::uint32_t sigma) {

@@ -53,12 +53,6 @@ class Grid {
     /// Record full dissemination trees (see QueryTracer); costs memory per
     /// query, so off by default.
     bool trace_queries = false;
-    /// 0 = classic single-queue event loop (byte-identical to the pre-shard
-    /// engine). >= 1 partitions nodes by cell-prefix (shard_of_coord) into
-    /// this many shards, each drained by a worker thread inside
-    /// lookahead-window barriers; outputs are byte-identical at ANY shard
-    /// count (see DESIGN.md §"Sharded execution").
-    std::uint32_t shards = 0;
   };
 
   Grid(Config cfg, PointGenerator generator);
@@ -106,7 +100,9 @@ class Grid {
   };
 
   /// Submits a query at `origin` and runs the simulation until it completes
-  /// or `horizon` of simulated time elapses (gossip keeps running).
+  /// or `horizon` of simulated time elapses (gossip keeps running). A query
+  /// still in flight at the horizon may complete later; that completion is
+  /// discarded.
   QueryOutcome run_query(NodeId origin, const RangeQuery& q,
                          std::uint32_t sigma = kNoSigma,
                          SimTime horizon = 600 * kSecond);

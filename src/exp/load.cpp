@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "common/hashing.h"
 #include "common/summary.h"
@@ -23,7 +25,21 @@ OpenLoopResult run_open_loop(Grid& grid, const OpenLoopConfig& cfg) {
   assert(!cfg.pool.empty());
   const std::size_t n = cfg.total_queries;
 
-  OpenLoopResult out;
+  // The completion callbacks share ownership of the result: a query still in
+  // flight at the drain horizon completes after this function returned, and
+  // must then find live state that is closed to it, not a dead frame.
+  struct Run {
+    OpenLoopResult out;
+    // The one shared accumulator across completions; everything else is a
+    // per-arrival slot write.
+    // ordering: release on the bump / acquire on the reads below — the count
+    // publishes each completion's per-arrival slot writes (done/done_time/
+    // result_*) to the post-run fold.
+    std::atomic<std::uint64_t> completed{0};
+    bool open = true;
+  };
+  auto run = std::make_shared<Run>();
+  OpenLoopResult& out = run->out;
   out.pool_index.resize(n, 0);
   out.origin.resize(n, kInvalidNode);
   out.issue_time.resize(n, 0);
@@ -34,8 +50,7 @@ OpenLoopResult run_open_loop(Grid& grid, const OpenLoopConfig& cfg) {
   if (cfg.keep_results) out.results.resize(n);
 
   // Draw the whole schedule up front: open loop by construction, and the
-  // per-arrival slots above can be sized exactly before anything runs (no
-  // reallocation while shard workers write into them).
+  // per-arrival slots above can be sized exactly before anything runs.
   Rng rng(cfg.seed ^ 0x9E3779B97F4A7C15ULL);
   const SimTime start = grid.sim().now();
   SimTime t = start;
@@ -49,45 +64,43 @@ OpenLoopResult run_open_loop(Grid& grid, const OpenLoopConfig& cfg) {
   }
   const SimTime last_arrival = t;
 
-  // One shared accumulator across concurrent completions; everything else
-  // is a per-arrival slot write. Atomic: completions land on different
-  // shard workers within one lookahead window.
-  // ordering: release on the bump / acquire on the reads below — the count
-  // publishes each completion's per-arrival slot writes (done/done_time/
-  // result_*) to the coordinator's post-run fold.
-  std::atomic<std::uint64_t> completed{0};
+  // Every arrival fires before the drain loop below can end (the deadline
+  // lies past the last arrival), so only completions may outlive this call.
   Simulator* sim = &grid.sim();
   for (std::size_t i = 0; i < n; ++i) {
-    sim->schedule_at(out.issue_time[i], [&grid, &cfg, &out, &completed, sim, i] {
+    sim->schedule_at(out.issue_time[i], [&grid, &cfg, run, sim, i] {
       const bool keep = cfg.keep_results;
-      grid.node(out.origin[i])
-          .submit(cfg.pool[out.pool_index[i]], cfg.sigma,
-                  [&out, &completed, sim, i, keep](const std::vector<MatchRecord>& m) {
-                    out.done_time[i] = sim->now();
-                    out.result_count[i] = static_cast<std::uint32_t>(m.size());
+      grid.node(run->out.origin[i])
+          .submit(cfg.pool[run->out.pool_index[i]], cfg.sigma,
+                  [run, sim, i, keep](const std::vector<MatchRecord>& m) {
+                    if (!run->open) return;  // completed after the horizon
+                    OpenLoopResult& res = run->out;
+                    res.done_time[i] = sim->now();
+                    res.result_count[i] = static_cast<std::uint32_t>(m.size());
                     std::uint64_t h =
                         hash_mix(kFnvOffset, static_cast<std::uint64_t>(m.size()));
                     for (const MatchRecord& r : m) h = hash_mix(h, r.id);
-                    out.result_hash[i] = h;
-                    if (keep) out.results[i] = m;
-                    out.done[i] = 1;
-                    completed.fetch_add(1, std::memory_order_release);
+                    res.result_hash[i] = h;
+                    if (keep) res.results[i] = m;
+                    res.done[i] = 1;
+                    run->completed.fetch_add(1, std::memory_order_release);
                   });
     });
   }
 
   const std::uint64_t events_before = sim->executed_events();
   const SimTime deadline = last_arrival + cfg.drain_horizon;
-  while (completed.load(std::memory_order_acquire) < n && !sim->idle() &&
+  while (run->completed.load(std::memory_order_acquire) < n && !sim->idle() &&
          sim->now() <= deadline)
     sim->step();
+  run->open = false;
   out.sim_events = sim->executed_events() - events_before;
 
   out.issued = n;
-  out.completed = completed.load(std::memory_order_acquire);
+  out.completed = run->completed.load(std::memory_order_acquire);
 
-  // Fold per-arrival slots in index order: identical results at any shard
-  // or thread count, and no float accumulation in interleaving order.
+  // Fold per-arrival slots in index order: identical results at any thread
+  // count, and no float accumulation in completion order.
   // Summary keeps the raw samples, so the percentiles below interpolate
   // between order statistics instead of reporting bucket upper bounds.
   Summary latency;
@@ -132,7 +145,7 @@ OpenLoopResult run_open_loop(Grid& grid, const OpenLoopConfig& cfg) {
     peak = std::max(peak, cur);
   }
   out.peak_in_flight = static_cast<std::size_t>(peak);
-  return out;
+  return std::move(out);
 }
 
 }  // namespace ares

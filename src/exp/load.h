@@ -6,14 +6,14 @@
 /// pre-generated Poisson schedule (open loop: arrival times never depend on
 /// completions, so a slow system accumulates in-flight queries instead of
 /// silently throttling the offered load), are submitted at scheduled origins
-/// as coordinator events, and thousands of DFS traversals proceed
+/// as simulator events, and thousands of DFS traversals proceed
 /// concurrently through the simulator.
 ///
 /// Determinism: the whole schedule (times, origins, query shapes) is drawn
 /// up front from a seeded Rng; per-arrival outcomes land in pre-sized,
 /// index-addressed slots (no allocation, no shared accumulator besides one
-/// atomic completion counter), so results are identical across
-/// ARES_THREADS / ARES_SHARDS settings. Latency percentiles come from the
+/// atomic completion counter), so results are identical across ARES_THREADS
+/// settings. Latency percentiles come from the
 /// same geometric-bucket histogram as QueryRunStats (exp/experiment.h).
 
 #include <cstdint>
@@ -83,7 +83,9 @@ struct OpenLoopResult {
 std::uint64_t result_id_digest(const std::vector<NodeId>& ids);
 
 /// Runs the open-loop workload on `grid` and blocks until every query
-/// completed or the drain horizon expired.
+/// completed or the drain horizon expired. A query still in flight then
+/// may complete later, if the caller runs the simulator on; that completion
+/// is discarded.
 OpenLoopResult run_open_loop(Grid& grid, const OpenLoopConfig& cfg);
 
 }  // namespace ares

@@ -12,8 +12,8 @@
 /// control to code that may run another node, and in particular never across
 /// a send_ call. A runtime that delivers synchronously runs the callee on the
 /// same thread and therefore on the same workspace. thread_local like
-/// common/object_pool.h: exp::run_trials and the shard workers run nodes on
-/// several threads at once.
+/// common/object_pool.h: exp::run_trials workers and UdpRuntime threads run
+/// nodes on several threads at once.
 
 #include <cstdint>
 #include <vector>

@@ -30,8 +30,8 @@ void Metrics::observe(std::string_view name, double value) {
 std::uint64_t Metrics::total(std::string_view name) const {
   const Slot* s = find(name);
   if (s == nullptr) return 0;
-  // Summed on read: a shared running total would be a write contention
-  // point between shard workers, while per-node rows are single-writer.
+  // Summed on read: per-node rows stay single-writer and the hot path
+  // bumps one row instead of a row plus a running total.
   std::uint64_t sum = 0;
   for (std::uint64_t v : s->by_node) sum += v;
   return sum;

@@ -50,11 +50,11 @@ class Metrics {
 
   /// Adds a sample to the named distribution (merged across all nodes).
   /// Internally locked: unlike counters (single-writer per-node rows),
-  /// distributions are shared, and concurrent queries under the sharded
-  /// simulator complete on different workers within one window. Do not
-  /// print order-sensitive aggregates of concurrently-observed
-  /// distributions in deterministic output (sample order is interleaving-
-  /// dependent; counts and quantiles are safe).
+  /// distributions are one map shared by every node of the runtime, and a
+  /// driver or monitoring thread may read distribution() while the
+  /// runtime's own thread observes. Do not print order-sensitive aggregates
+  /// of concurrently-observed distributions in deterministic output (sample
+  /// order is interleaving-dependent; counts and quantiles are safe).
   void observe(std::string_view name, double value) ARES_EXCLUDES(observe_mu_);
 
   /// Sum of the named counter over all nodes (0 when never bumped).
@@ -78,14 +78,13 @@ class Metrics {
   /// excluded), sorted.
   std::vector<std::string> counter_names() const;
 
-  /// Pre-sizes every counter's per-node vector for node ids < n. The
-  /// sharded simulator (sim/sharded.h) runs node code on shard workers,
-  /// where inc()'s lazy grow would race; backends call this on every join
-  /// so worker-phase increments are plain writes to pre-existing rows.
+  /// Pre-sizes every counter's per-node vector for node ids < n. Backends
+  /// call this on every join, so hot-path increments are plain writes to
+  /// pre-existing rows instead of inc()'s lazy grow.
   void reserve_nodes(std::size_t n);
 
   /// Drops all counter values and distributions (between experiment
-  /// phases). Interned handles stay valid. Coordinator-only, like every
+  /// phases). Interned handles stay valid. Runtime-thread only, like every
   /// other registry mutation outside observe().
   void clear() ARES_EXCLUDES(observe_mu_);
 
@@ -103,9 +102,9 @@ class Metrics {
   // Keys are owned copies (not views into slots_: Slot moves on vector
   // growth would dangle SSO string views). std::less<> gives heterogeneous
   // string_view lookup; interning is cold, so a tree map is fine.
-  // slots_/index_ mutate on the coordinator only (counter() interning,
-  // reserve_nodes() on join); distributions_ is the one registry map shard
-  // workers write, hence the capability.
+  // slots_/index_ mutate on the runtime's thread only (counter() interning,
+  // reserve_nodes() on join); distributions_ is the one registry map
+  // readers on other threads may reach mid-run, hence the capability.
   std::map<std::string, Counter, std::less<>> index_;
   std::map<std::string, Summary, std::less<>> distributions_
       ARES_GUARDED_BY(observe_mu_);
@@ -114,8 +113,8 @@ class Metrics {
 inline void Metrics::inc(NodeId node, Counter c, std::uint64_t delta) {
   Slot& s = slots_[c];
   // Lazy-grow fallback for runtimes that never call reserve_nodes() (the
-  // loopback tests). Under the sharded simulator every live id is reserved
-  // on join, so worker-phase increments never take this branch.
+  // loopback tests). The simulator and UDP backends reserve every live id
+  // on join, so their increments never take this branch.
   if (node >= s.by_node.size()) s.by_node.resize(node + 1, 0);
   s.by_node[node] += delta;
 }

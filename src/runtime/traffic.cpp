@@ -31,29 +31,4 @@ void NetworkStats::reset_node_load() {
   load_recv_.assign(load_recv_.size(), 0);
 }
 
-namespace {
-
-void absorb_load(std::vector<std::uint64_t>& into, std::vector<std::uint64_t>& from) {
-  if (from.size() > into.size()) into.resize(from.size(), 0);
-  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
-  from.assign(from.size(), 0);
-}
-
-}  // namespace
-
-void NetworkStats::absorb(NetworkStats& other) {
-  sent_ += other.sent_;
-  delivered_ += other.delivered_;
-  dropped_ += other.dropped_;
-  other.sent_ = other.delivered_ = other.dropped_ = 0;
-  for (auto& [type, c] : other.by_type_) {
-    TypeCounter& mine = by_type_[type];
-    mine.count += c.count;
-    mine.bytes += c.bytes;
-  }
-  other.by_type_.clear();
-  absorb_load(load_sent_, other.load_sent_);
-  absorb_load(load_recv_, other.load_recv_);
-}
-
 }  // namespace ares

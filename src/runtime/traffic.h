@@ -52,12 +52,6 @@ class NetworkStats {
   /// totals are preserved.
   void reset_node_load();
 
-  /// Folds `other` into this instance and resets `other` to zero (its load
-  /// filter is kept). The sharded Network gives each shard worker its own
-  /// instance and absorbs them on stats() access; summation is commutative,
-  /// so the aggregate is independent of the shard count.
-  void absorb(NetworkStats& other);
-
  private:
   void bump(std::vector<std::uint64_t>& v, NodeId id);
 

@@ -1,6 +1,7 @@
 #include "runtime/wire.h"
 
 #include <array>
+#include <atomic>
 
 #include "common/options.h"
 
@@ -19,9 +20,13 @@ void ensure_builtins() {
   (void)once;
 }
 
-// -1 = not yet resolved from the environment.
-int g_checked = -1;
-int g_delta = -1;
+// -1 = not yet resolved from the environment. Trial threads may resolve a
+// flag concurrently on their first send; the racing writes store the same
+// value.
+// ordering: relaxed — a single-word flag; nothing is published through it.
+std::atomic<int> g_checked{-1};
+// ordering: relaxed — as g_checked.
+std::atomic<int> g_delta{-1};
 
 std::size_t legacy_frame_size(const Message& m, const Codec& c) {
   if (c.size_body != nullptr) return 1 + c.size_body(m);
@@ -140,18 +145,28 @@ RecodeResult recode(const Message& m) {
 }
 
 bool checked_delivery() {
-  if (g_checked < 0) g_checked = option_flag("WIRE", false) ? 1 : 0;
-  return g_checked == 1;
+  int v = g_checked.load(std::memory_order_relaxed);
+  if (v < 0) {
+    v = option_flag("WIRE", false) ? 1 : 0;
+    g_checked.store(v, std::memory_order_relaxed);
+  }
+  return v == 1;
 }
 
-void set_checked_delivery(bool on) { g_checked = on ? 1 : 0; }
+void set_checked_delivery(bool on) {
+  g_checked.store(on ? 1 : 0, std::memory_order_relaxed);
+}
 
 bool delta_enabled() {
-  if (g_delta < 0) g_delta = option_flag("WIRE_DELTA", false) ? 1 : 0;
-  return g_delta == 1;
+  int v = g_delta.load(std::memory_order_relaxed);
+  if (v < 0) {
+    v = option_flag("WIRE_DELTA", false) ? 1 : 0;
+    g_delta.store(v, std::memory_order_relaxed);
+  }
+  return v == 1;
 }
 
-void set_delta_enabled(bool on) { g_delta = on ? 1 : 0; }
+void set_delta_enabled(bool on) { g_delta.store(on ? 1 : 0, std::memory_order_relaxed); }
 
 std::size_t delta_savings(const Message& m) {
   if (!delta_enabled()) return 0;

@@ -16,8 +16,8 @@
 ///
 /// Owner-guarded events: a push may carry the NodeId whose liveness gates
 /// execution (incarnation-safe timers). The owner rides in the key's former
-/// padding bytes — the key stays 24 bytes — and the executor (Simulator /
-/// ShardEngine) probes liveness at pop time. This is what lets
+/// padding bytes — the key stays 24 bytes — and the executor (Simulator)
+/// probes liveness at pop time. This is what lets
 /// Runtime::node_timer() move a caller's UniqueAction straight into the heap
 /// with no wrapper closure: nesting one UniqueAction inside another can
 /// never fit the inline buffer (the inner object is already kInline+8
@@ -41,14 +41,6 @@ class EventQueue {
   /// owner has left the runtime by pop time (the action is still popped and
   /// counted, so drain order is identical either way).
   void push(SimTime t, Action action, NodeId owner = kInvalidNode);
-
-  /// Enqueues with a caller-supplied tie-break key instead of the internal
-  /// insertion counter. The sharded engine (sim/sharded.h) derives keys from
-  /// (source node, per-source counter), which makes the drain order of
-  /// merged cross-shard mailboxes independent of the shard count. Do not mix
-  /// with push() on the same queue — the two key spaces are unrelated.
-  void push_keyed(SimTime t, std::uint64_t seq, Action action,
-                  NodeId owner = kInvalidNode);
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }

@@ -21,17 +21,6 @@ class LatencyModel {
 
   /// One-way latency for a message from `from` to `to`.
   virtual SimTime sample(Rng& rng, NodeId from, NodeId to) = 0;
-
-  /// Smallest value sample() can ever return. This is the sharded engine's
-  /// lookahead window Δ (sim/sharded.h): a message always lands past the
-  /// window barrier that produced it. Sharded runs require > 0; the default
-  /// (0) marks a model unusable for sharding.
-  virtual SimTime min_latency() const { return 0; }
-
-  /// Whether sample() may be called concurrently from shard workers (with
-  /// distinct Rng instances). Models with lazily grown internal caches must
-  /// return false.
-  virtual bool concurrent_safe() const { return true; }
 };
 
 /// Fixed latency for every message.
@@ -39,7 +28,6 @@ class ConstantLatency final : public LatencyModel {
  public:
   explicit ConstantLatency(SimTime latency) : latency_(latency) {}
   SimTime sample(Rng&, NodeId, NodeId) override { return latency_; }
-  SimTime min_latency() const override { return latency_; }
 
  private:
   SimTime latency_;
@@ -53,7 +41,6 @@ class UniformLatency final : public LatencyModel {
     return static_cast<SimTime>(
         rng.range(static_cast<std::uint64_t>(lo_), static_cast<std::uint64_t>(hi_)));
   }
-  SimTime min_latency() const override { return lo_; }
 
  private:
   SimTime lo_, hi_;
@@ -70,10 +57,6 @@ class CoordinateLatency final : public LatencyModel {
   CoordinateLatency(SimTime base, SimTime scale, SimTime jitter, std::uint64_t seed);
 
   SimTime sample(Rng& rng, NodeId from, NodeId to) override;
-  SimTime min_latency() const override { return base_; }
-  /// The per-node coordinate cache grows lazily on sample() — not safe to
-  /// share across shard workers.
-  bool concurrent_safe() const override { return false; }
 
  private:
   struct Coord {

@@ -10,15 +10,9 @@
 /// Protocol code never sees this class: SelectionNode and the gossip layers
 /// program against runtime/runtime.h only. Network is what the experiment
 /// layer (exp/grid.h) and the benchmarks instantiate.
-///
-/// Sharded transport (Simulator::enable_sharding): deliveries are keyed
-/// events routed to the destination node's shard, per-message latency is
-/// drawn from a hash-derived stream (seeded by (sim seed, event key, dst) —
-/// the shared simulator Rng would make draws depend on the drain
-/// interleaving), and traffic accounting goes to per-shard NetworkStats
-/// instances that stats() folds together on access.
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "runtime/runtime.h"
@@ -38,15 +32,13 @@ class Network final : public Runtime {
 
   Simulator& sim() { return sim_; }
 
-  /// Aggregated traffic counters. In sharded mode this folds the per-shard
-  /// instances into the base instance (coordinator-only; call between
-  /// windows, never from node code).
-  NetworkStats& stats();
+  /// Traffic counters.
+  NetworkStats& stats() { return stats_; }
 
-  /// Installs the per-node load predicate on every stats instance (the
-  /// per-shard copies included — setting it on stats() alone would miss
-  /// traffic counted by shard workers).
-  void set_load_filter(NetworkStats::LoadFilter f);
+  /// Installs the per-node load predicate on the traffic counters.
+  void set_load_filter(NetworkStats::LoadFilter f) {
+    stats_.set_load_filter(std::move(f));
+  }
 
   // -- Runtime contract ----------------------------------------------------
   SimTime now() const override { return sim_.now(); }
@@ -62,12 +54,7 @@ class Network final : public Runtime {
 
   // -- membership ----------------------------------------------------------
   /// Adds a node: assigns the next NodeId, attaches it, and calls start().
-  /// The node lands in shard 0 under a sharded simulator.
   NodeId add_node(std::unique_ptr<Node> node);
-
-  /// As above, but places the node in `shard` (sharded simulator only; the
-  /// Grid derives the shard from the node's cell coordinate).
-  NodeId add_node(std::unique_ptr<Node> node, std::uint32_t shard);
 
   /// Removes a node. `graceful` invokes stop() first (a leave); otherwise
   /// this models a crash. In-flight messages to it are dropped on delivery.
@@ -88,20 +75,10 @@ class Network final : public Runtime {
   }
 
  private:
-  /// The stats instance the calling thread may write: the base instance on
-  /// the coordinator, the worker's shard instance during a drain.
-  NetworkStats& stats_sink();
-
   Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
   NetworkStats stats_;
-  /// One instance per shard (empty in classic mode): workers account
-  /// traffic without synchronization; stats() merges deterministically.
-  std::vector<NetworkStats> shard_stats_;
-  /// Seed of the per-message latency streams (sharded mode).
-  std::uint64_t latency_seed_;
-  // Wire metrics handles, interned up front: counter-name interning
-  // mutates the registry and must never happen on a shard worker.
+  // Wire metrics handles, interned once up front.
   Metrics::Counter m_wire_decode_fail_;
   Metrics::Counter m_wire_encode_fail_;
   Metrics::Counter m_wire_bytes_saved_;

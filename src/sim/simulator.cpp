@@ -1,59 +1,29 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace ares {
 
-Simulator::Simulator(std::uint64_t seed) : rng_(seed), seed_(seed) {}
-
-Simulator::~Simulator() = default;
-
-void Simulator::enable_sharding(std::uint32_t shards, SimTime window) {
-  assert(engine_ == nullptr && "sharding is enabled once");
-  assert(now_ == 0 && executed_ == 0 && queue_.empty() &&
-         "enable sharding before any simulation activity");
-  engine_ = std::make_unique<ShardEngine>(shards, window);
-  if (alive_) engine_->set_liveness(alive_);
-}
-
 void Simulator::schedule_at(SimTime t, EventQueue::Action action) {
-  if (engine_ != nullptr) {
-    engine_->schedule_coord(t, std::move(action));
-    return;
-  }
   if (t < now_) ++late_;
   queue_.push(std::max(t, now_), std::move(action));
 }
 
 void Simulator::schedule_after(SimTime delay, EventQueue::Action action) {
-  schedule_at(now() + std::max<SimTime>(delay, 0), std::move(action));
+  schedule_at(now_ + std::max<SimTime>(delay, 0), std::move(action));
 }
 
 void Simulator::set_liveness(std::function<bool(NodeId)> probe) {
   alive_ = std::move(probe);
-  if (engine_ != nullptr) engine_->set_liveness(alive_);
 }
 
 void Simulator::schedule_owned_after(SimTime delay, NodeId owner,
                                      EventQueue::Action action) {
-  if (engine_ != nullptr) {
-    // Owner-guarded events are same-shard (the owner schedules for itself),
-    // so they may fire inside the window that set them — no lookahead
-    // constraint. Context-aware now(): the draining shard's clock on a
-    // worker, the coordinator clock otherwise.
-    engine_->schedule(owner, engine_->alloc_key(owner),
-                      engine_->now() + std::max<SimTime>(delay, 0),
-                      std::move(action), owner);
-    return;
-  }
   const SimTime t = now_ + std::max<SimTime>(delay, 0);
   queue_.push(t, std::move(action), owner);
 }
 
 bool Simulator::step() {
-  if (engine_ != nullptr)
-    return engine_->run_window(std::numeric_limits<SimTime>::max()) > 0;
   if (queue_.empty()) return false;
   now_ = queue_.next_time();
   const NodeId owner = queue_.next_owner();
@@ -65,11 +35,6 @@ bool Simulator::step() {
 
 std::uint64_t Simulator::run_until(SimTime t) {
   std::uint64_t n = 0;
-  if (engine_ != nullptr) {
-    while (std::uint64_t k = engine_->run_window(t)) n += k;
-    engine_->advance_clock(t);
-    return n;
-  }
   while (!queue_.empty() && queue_.next_time() <= t) {
     step();
     ++n;
@@ -81,11 +46,6 @@ std::uint64_t Simulator::run_until(SimTime t) {
 
 std::uint64_t Simulator::run() {
   std::uint64_t n = 0;
-  if (engine_ != nullptr) {
-    while (std::uint64_t k = engine_->run_window(std::numeric_limits<SimTime>::max()))
-      n += k;
-    return n;
-  }
   while (step()) ++n;
   return n;
 }

@@ -6,81 +6,49 @@
 /// parameters, for the DAS-3 emulation and the PlanetLab deployment); see
 /// DESIGN.md §5.
 ///
-/// Two engines share this façade:
-///   - classic (default): one global queue, one thread, ties broken by
-///     insertion order — byte-identical to the pre-shard simulator;
-///   - sharded (enable_sharding()): per-shard queues drained inside
-///     lookahead-window barriers by worker threads, with outputs
-///     byte-identical at any shard count (see sim/sharded.h).
+/// One global queue drained on one thread; ties are broken by insertion
+/// order, so a run is fully determined by its seed.
 
-#include <cassert>
 #include <functional>
-#include <memory>
 
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
-#include "sim/sharded.h"
 
 namespace ares {
 
 class Simulator {
  public:
-  explicit Simulator(std::uint64_t seed = 1);
-  ~Simulator();
+  explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  SimTime now() const { return engine_ == nullptr ? now_ : engine_->now(); }
+  SimTime now() const { return now_; }
 
-  /// The seed this simulator was constructed with (sharded transport derives
-  /// per-message latency streams from it; see sim/network.h).
-  std::uint64_t seed() const { return seed_; }
-
-  /// Runtime-level randomness. In sharded mode this stream is coordinator-
-  /// only — worker-phase draws would make outcomes depend on the drain
-  /// interleaving (asserted).
-  Rng& rng() {
-    assert(engine_ == nullptr || ShardEngine::current_shard() < 0);
-    return rng_;
-  }
-
-  /// Switches to the sharded engine. Must be called before any event is
-  /// scheduled or executed; `window` is the lookahead Δ (the latency
-  /// model's minimum one-way latency, > 0), `shards` in [1, 64].
-  void enable_sharding(std::uint32_t shards, SimTime window);
-
-  bool sharded() const { return engine_ != nullptr; }
-
-  /// The sharded engine; nullptr in classic mode.
-  ShardEngine* shard_engine() { return engine_.get(); }
+  /// Runtime-level randomness.
+  Rng& rng() { return rng_; }
 
   /// Schedules `action` at absolute virtual time `t`. A `t` already in the
   /// past is clamped to now() and counted in late_events() — a persistently
-  /// growing count usually flags a scheduling bug in the caller. In sharded
-  /// mode this is the coordinator-event path (experiment drivers).
+  /// growing count usually flags a scheduling bug in the caller.
   void schedule_at(SimTime t, EventQueue::Action action);
 
   /// Schedules `action` after `delay` (clamped to >= 0).
   void schedule_after(SimTime delay, EventQueue::Action action);
 
   /// Installs the liveness probe consulted for owner-guarded events at
-  /// execution time (Runtime backends install their alive() check). Must be
-  /// safe to call concurrently from shard workers during a window drain —
-  /// membership is coordinator-only, so a read-only probe qualifies.
+  /// execution time (Runtime backends install their alive() check).
   void set_liveness(std::function<bool(NodeId)> probe);
 
   /// Schedules an owner-guarded event after `delay`: the action is dropped
   /// (popped but not invoked) when `owner` fails the liveness probe at
   /// execution time. This is the backend half of Runtime::node_timer(): the
   /// caller's move-only action lands in the event heap with no wrapper
-  /// closure, so timers stay allocation-free. Works in classic and sharded
-  /// mode (the event is keyed to and drained by the owner's shard).
+  /// closure, so timers stay allocation-free.
   void schedule_owned_after(SimTime delay, NodeId owner, EventQueue::Action action);
 
-  /// Classic: executes the next pending event. Sharded: executes the next
-  /// window of events. Returns false when the queue is empty.
+  /// Executes the next pending event. Returns false when the queue is empty.
   bool step();
 
   /// Runs until the queue drains or the clock passes `t` (events at exactly
@@ -90,19 +58,13 @@ class Simulator {
   /// Runs until the queue drains. Returns the number of events executed.
   std::uint64_t run();
 
-  bool idle() const { return engine_ == nullptr ? queue_.empty() : engine_->idle(); }
-  std::size_t pending_events() const {
-    return engine_ == nullptr ? queue_.size() : engine_->pending();
-  }
-  std::uint64_t executed_events() const {
-    return engine_ == nullptr ? executed_ : engine_->executed();
-  }
+  bool idle() const { return queue_.empty(); }
+  std::size_t pending_events() const { return queue_.size(); }
+  std::uint64_t executed_events() const { return executed_; }
 
   /// Number of schedule calls whose target time was already in the past
   /// (silently clamped to the caller's clock).
-  std::uint64_t late_events() const {
-    return engine_ == nullptr ? late_ : engine_->late();
-  }
+  std::uint64_t late_events() const { return late_; }
 
  private:
   /// True when the event may run: unguarded, no probe, or owner alive.
@@ -113,11 +75,9 @@ class Simulator {
   SimTime now_ = 0;
   EventQueue queue_;
   Rng rng_;
-  std::uint64_t seed_;
   std::uint64_t executed_ = 0;
   std::uint64_t late_ = 0;
   std::function<bool(NodeId)> alive_;
-  std::unique_ptr<ShardEngine> engine_;
 };
 
 }  // namespace ares

@@ -101,12 +101,13 @@ class Cells {
   const AttributeSpace* space_;
 };
 
-/// Locality-preserving shard key for sharded simulation (sim/sharded.h):
-/// interleaves the level-0 cell indices most-significant-bit first (a Morton
-/// prefix over the nested-cell hierarchy) and splits the resulting key range
-/// into `shards` contiguous slices. Nodes sharing a coarse cell — exactly the
-/// nodes the selective gossip layer and the query DFS make talk to each
-/// other — therefore land on the same or adjacent shards.
+/// Locality-preserving placement key: interleaves the level-0 cell indices
+/// most-significant-bit first (a Morton prefix over the nested-cell
+/// hierarchy) and splits the resulting key range into `shards` contiguous
+/// slices. Nodes sharing a coarse cell — exactly the nodes the selective
+/// gossip layer and the query DFS make talk to each other — therefore land
+/// in the same or adjacent slices. The UDP benchmark uses it to place nodes
+/// on hosting sockets.
 ///
 /// Purely a function of (space geometry, coord, shards): every coord maps to
 /// exactly one shard, remapping under churn is deterministic, and for

@@ -15,10 +15,8 @@ void DescriptorStore::put(NodeId id, const Point& values) {
     present_[id] = 1;
     ++rows_;
   } else {
-    // Equality skip: redundant writes of an unchanged profile (the common
-    // receive-path case) must not store — under sharded execution a read
-    // of a present row may be concurrent, and a byte-identical store is
-    // still a data race to a sanitizer.
+    // Equality skip: a redundant write of an unchanged profile leaves the
+    // row untouched and skips the cell-index recomputation.
     bool same = true;
     const AttrValue* row = &values_[id * dims_];
     for (std::size_t i = 0; i < dims_; ++i) same = same && row[i] == values[i];

@@ -22,11 +22,6 @@
 ///     gossip/bootstrap messages register unknown ids but never overwrite —
 ///     a stale descriptor still circulating must not roll back a newer
 ///     profile.
-///
-/// Sharded-execution contract (sim/sharded.h): every id is registered by the
-/// coordinator (between windows) before any worker can reference it, so
-/// worker-phase put_if_absent() calls always hit the present-row early
-/// return and never write — reads are data-race-free without locks.
 
 #include <cstdint>
 #include <vector>
@@ -43,8 +38,7 @@ class DescriptorStore {
   const AttributeSpace& space() const { return *space_; }
   int dimensions() const { return static_cast<int>(dims_); }
 
-  /// Pre-sizes the row arrays for `nodes` ids (amortizes growth; required
-  /// before sharded execution so worker reads never race a reallocation).
+  /// Pre-sizes the row arrays for `nodes` ids (amortizes growth).
   void reserve(std::size_t nodes) {
     values_.reserve(nodes * dims_);
     coords_.reserve(nodes * dims_);

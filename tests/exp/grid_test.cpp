@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "workload/distributions.h"
+#include "workload/query_workload.h"
 
 namespace ares {
 namespace {
@@ -105,6 +106,37 @@ TEST(Grid, RunQueryHorizonPreventsHangs) {
   auto out = grid.run_query(grid.random_node(), RangeQuery::any(2), kNoSigma,
                             /*horizon=*/120 * kSecond);
   EXPECT_TRUE(out.completed);  // completes long before the horizon
+}
+
+// A query still in flight at run_query's horizon completes later, after
+// run_query has returned. A crash wave plus a short query timeout makes
+// DFS branches time out and retry past a 60 s horizon; the late completions
+// must land in state the callback owns, not in the returned call's frame
+// (which a later run_query reuses). Fails under ASan, or with a SIGSEGV,
+// when the callback captures run_query's locals by reference.
+TEST(Grid, RunQueryCompletionAfterHorizonIsSafe) {
+  Grid::Config cfg{.space = AttributeSpace::uniform(3, 3, 0, 80)};
+  cfg.nodes = 300;
+  cfg.oracle = false;
+  cfg.protocol.gossip_enabled = true;
+  cfg.protocol.query_timeout = 5 * kSecond;
+  cfg.convergence = 10 * cfg.protocol.gossip_period;
+  cfg.latency = "lan";
+  cfg.seed = 7;
+  cfg.track_visited = false;
+  Grid grid(cfg, uniform_points(cfg.space, 0, 80));
+  const std::vector<NodeId> ids = grid.node_ids();
+  for (std::size_t i = 0; i < ids.size(); i += 10) grid.remove_node(ids[i]);
+  Rng rng(3);
+  std::size_t completed_in_time = 0;
+  for (int i = 0; i < 20; ++i) {
+    const RangeQuery q = best_case_query(grid.space(), 0.3, rng);
+    auto out = grid.run_query(grid.random_node(), q, kNoSigma, /*horizon=*/60 * kSecond);
+    if (out.completed) ++completed_in_time;
+  }
+  grid.sim().run_until(grid.sim().now() + 60 * cfg.protocol.gossip_period);
+  // Some queries did finish after their horizon, so the case is exercised.
+  EXPECT_GT(grid.stats().completed_count(), completed_in_time);
 }
 
 TEST(Grid, RejectsUnknownLatencyModel) {

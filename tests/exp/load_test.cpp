@@ -81,6 +81,31 @@ TEST(OpenLoop, ScheduleIsOpenLoopIndependentOfTheSystem) {
   EXPECT_EQ(shapes[0], shapes[1]);
 }
 
+// Queries still in flight when the drain horizon expires complete after
+// run_open_loop returned, while later rounds or the caller run the
+// simulator on. Those completions must be discarded, not written into the
+// returned call's frame (ASan reports a stack-use-after-scope, and a Release
+// build may crash, when the callbacks capture that frame by reference).
+TEST(OpenLoop, CompletionAfterDrainHorizonIsDiscarded) {
+  auto cfg = load_config(3);
+  cfg.latency = "wan";  // DFS hops of 30-150 ms outlast a 100 ms drain
+  Grid grid(cfg, uniform_points(cfg.space, 0, 80));
+  std::vector<OpenLoopResult> rounds;
+  std::size_t completed_in_time = 0;
+  for (int round = 0; round < 3; ++round) {
+    auto lc = small_load(grid);
+    lc.drain_horizon = 100 * kMillisecond;
+    rounds.push_back(run_open_loop(grid, lc));
+    completed_in_time += rounds.back().completed;
+  }
+  const std::vector<std::uint8_t> done_before = rounds.front().done;
+  grid.sim().run_until(grid.sim().now() + 600 * kSecond);
+  EXPECT_GT(grid.stats().completed_count(), completed_in_time)
+      << "no query outlived its drain horizon: test lost its teeth";
+  EXPECT_EQ(rounds.front().done, done_before);
+  EXPECT_LT(rounds.front().completed, rounds.front().issued);
+}
+
 TEST(OpenLoop, DigestIsOrderInsensitiveViaSortedConvention) {
   EXPECT_EQ(result_id_digest({1, 2, 3}), result_id_digest({1, 2, 3}));
   EXPECT_NE(result_id_digest({1, 2, 3}), result_id_digest({1, 2}));

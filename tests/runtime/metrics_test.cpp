@@ -61,7 +61,7 @@ TEST(Metrics, CounterNamesSortedAndClearable) {
 
 // Regression for the lock-coverage gap the thread-safety annotations
 // surfaced: distribution() used to look distributions_ up without the lock
-// while shard workers observe() concurrently (and clear() dropped the map
+// while other threads observe() concurrently (and clear() dropped the map
 // unlocked). Observers on several threads race a distribution() reader;
 // TSan fails this test if either accessor loses the lock again, and the
 // final count/mean must be exact on any build.

@@ -1,7 +1,7 @@
 /// DescriptorStore (space/descriptor_store.h): the SoA memory layer behind
 /// CompactPeer handles. The write-discipline contract — put() authoritative,
-/// put_if_absent() never overwrites — is what makes worker-phase reads safe
-/// under the sharded simulator, so it gets pinned explicitly.
+/// put_if_absent() never overwrites — keeps a stale circulating descriptor
+/// from rolling back a newer profile, so it gets pinned explicitly.
 
 #include "space/descriptor_store.h"
 

@@ -1,6 +1,6 @@
-/// Cell-prefix shard partitioning (shard_of_coord, space/cells.h): the shard
-/// key the sharded simulator (sim/sharded.h) uses to place nodes. Three
-/// contracts matter for correctness and are pinned here:
+/// Cell-prefix shard partitioning (shard_of_coord, space/cells.h): the
+/// placement key that maps nodes onto a fixed set of hosts. Three contracts
+/// matter for correctness and are pinned here:
 ///
 ///   1. Totality/determinism — every coord maps to exactly one shard in
 ///      [0, S), as a pure function of (space geometry, coord, S). Churn
@@ -113,7 +113,7 @@ TEST(ShardMap, RemappingUnderChurnIsDeterministic) {
   // A churn wave removes half the nodes; survivors' shard assignments are
   // untouched, and a departed node that rejoins with the same values gets
   // its old shard back. (shard_of_coord sees only the coord, but this is
-  // the property the sharded Network relies on, so pin it end to end.)
+  // the property a placement relies on, so pin it end to end.)
   auto s = AttributeSpace::uniform(3, 3, 0, 80);
   auto gen = uniform_points(s, 0, 80);
   Rng rng(11);

@@ -29,15 +29,6 @@ invariants"):
                    value lists) so descriptor copies stay allocation-free.
                    Suppress with  // ares-lint: raw-descriptor-vec-ok(<reason>)
 
-  shard-seam       No direct use of the sharded-execution primitives
-                   (EventQueue::push_keyed, ShardEngine::alloc_key/
-                   set_node_shard/run_window/schedule_coord) outside
-                   src/sim. Cross-shard communication flows through ONE
-                   seam — Network::send()/node_timer() scheduling into the
-                   ShardEngine mailboxes — so determinism arguments stay
-                   local to src/sim. Suppress with
-                       // ares-lint: shard-seam-ok(<reason>)
-
   net-seam         No raw socket/event-loop/process syscall headers
                    (<sys/socket.h>, <sys/epoll.h>, <unistd.h>, ...) outside
                    src/net. The UDP backend is the one place that talks to
@@ -148,16 +139,6 @@ RAW_DESCRIPTOR_VEC = [
      "Point (inline storage) or AttrValues (unbounded value lists)"),
     (re.compile(r"\bstd\s*::\s*vector\s*<\s*CellIndex\s*>"),
      "std::vector<CellIndex>", "CellCoord (inline storage)"),
-]
-
-# shard-seam applies to src/ except src/sim (where the engine and the one
-# legitimate mailbox seam — Network — live).
-SHARD_SEAM = [
-    (re.compile(r"\bpush_keyed\s*\("), "EventQueue::push_keyed()"),
-    (re.compile(r"\balloc_key\s*\("), "ShardEngine::alloc_key()"),
-    (re.compile(r"\bset_node_shard\s*\("), "ShardEngine::set_node_shard()"),
-    (re.compile(r"\brun_window\s*\("), "ShardEngine::run_window()"),
-    (re.compile(r"\bschedule_coord\s*\("), "ShardEngine::schedule_coord()"),
 ]
 
 # raw-mutex applies to src/ except src/common (where the annotated
@@ -318,7 +299,7 @@ class Linter:
         self.findings = []
         self.suppression_counts = {"unordered-iter": 0, "forbidden-api": 0,
                                    "raw-descriptor-vec": 0, "layering": 0,
-                                   "shard-seam": 0, "net-seam": 0,
+                                   "net-seam": 0,
                                    "raw-mutex": 0, "mutex-guard": 0,
                                    "atomic-ordering": 0}
 
@@ -510,25 +491,6 @@ class Linter:
                          "acquire pair?) and what publishes what, on the "
                          "declaration line or in the comment block above")
 
-    # -- rule: shard-seam ----------------------------------------------------
-
-    def check_shard_seam(self):
-        src = self.root / "src"
-        if not src.is_dir():
-            return
-        scan_dirs = [d.name for d in sorted(src.iterdir())
-                     if d.is_dir() and d.name != "sim"]
-        for p in iter_files(src, scan_dirs):
-            sf = SourceFile(p, str(p.relative_to(self.root)))
-            for rx, what in SHARD_SEAM:
-                for m in rx.finditer(sf.code):
-                    self.add("shard-seam", sf, m.start(),
-                             f"{what} outside src/sim — cross-shard state "
-                             "moves only through the Network send/timer seam "
-                             "(sim/network.h); direct shard scheduling "
-                             "bypasses the determinism contract "
-                             "(DESIGN.md, 'Sharded execution')")
-
     # -- rule: net-seam ------------------------------------------------------
 
     def check_net_seam(self):
@@ -647,7 +609,6 @@ class Linter:
         self.check_raw_mutex()
         self.check_mutex_guard()
         self.check_atomic_ordering()
-        self.check_shard_seam()
         self.check_net_seam()
         self.check_layering()
         self.check_codec()
@@ -698,7 +659,6 @@ def self_test(fixture_root: pathlib.Path) -> int:
         "raw-mutex": 2,            # <mutex> include + std::lock_guard
         "mutex-guard": 2,          # two unannotated ares::Mutex members
         "atomic-ordering": 2,      # two std::atomic decls without a note
-        "shard-seam": 2,           # push_keyed + alloc_key outside src/sim
         "net-seam": 3,             # sys/socket.h + sys/epoll.h + unistd.h
         "layering": 2,             # gossip -> sim, gossip -> exp
         "codec": 2,                # kPong: missing registration + missing test
