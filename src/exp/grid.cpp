@@ -54,7 +54,9 @@ std::vector<PeerDescriptor> Grid::sample_introducers(std::size_t k) {
   const auto& alive = net_->alive_ids();
   if (alive.empty() || k == 0) return out;
   k = std::min(k, alive.size());
-  for (std::size_t idx : node_seeder_.sample_indices(alive.size(), k)) {
+  out.reserve(k);
+  node_seeder_.sample_indices_into(alive.size(), k, picks_);
+  for (std::size_t idx : picks_) {
     if (auto* sn = net_->find_as<SelectionNode>(alive[idx]))
       out.push_back(sn->descriptor());
   }

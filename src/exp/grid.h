@@ -125,6 +125,7 @@ class Grid {
   std::unique_ptr<QueryStats> stats_;
   std::unique_ptr<QueryTracer> tracer_;  // wraps stats_ when tracing
   Rng node_seeder_;
+  std::vector<std::size_t> picks_;  // sample_introducers scratch
 };
 
 }  // namespace ares

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/selection_node.h"
 #include "runtime/loopback.h"
 #include "space/descriptor_store.h"
@@ -153,6 +154,44 @@ TEST_F(RoutingTableTest, BestForRegionHonorsExclusions) {
   rt.offer(make(2, 75, 75, 0));
   Region target({{7, 7}, {7, 7}});
   EXPECT_EQ(rt.best_for_region(3, 0, {2}, target), nullptr);
+}
+
+TEST_F(RoutingTableTest, SlotDirectOfferMatchesClassifyingOffer) {
+  // Random peers with random ages, some repeated (refresh and no-op paths)
+  // and self among them: offer_at with the classified slot must build the
+  // same table, and register the same peers, as offer().
+  DescriptorStore direct_store(space);
+  RoutingTable direct(cells, self.coord, self.id, RoutingConfig{}, direct_store);
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    const auto id = static_cast<NodeId>(1 + rng.below(300));
+    const PeerDescriptor d =
+        make(id, static_cast<AttrValue>(rng.below(80)), static_cast<AttrValue>(rng.below(80)),
+             static_cast<std::uint32_t>(rng.below(6)));
+    rt.offer(d);
+    direct.offer_at({d.id, d.age}, d.values, *cells.classify(self.coord, d.coord));
+  }
+  auto same = [](std::span<const CompactPeer> a, std::span<const CompactPeer> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](CompactPeer x, CompactPeer y) { return x.id == y.id && x.age == y.age; });
+  };
+  EXPECT_TRUE(same(rt.zero(), direct.zero()));
+  for (int l = 1; l <= 3; ++l)
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_TRUE(same(rt.slot(l, k), direct.slot(l, k))) << "slot (" << l << "," << k << ")";
+      EXPECT_GT(direct.slot(l, k).size(), 0u);
+    }
+  EXPECT_EQ(direct_store.size(), store.size());
+  for (NodeId id = 0; id <= 300; ++id) EXPECT_EQ(direct_store.contains(id), store.contains(id));
+}
+
+TEST_F(RoutingTableTest, SlotDirectOfferChecksSlotInDebug) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "slot check compiled out (NDEBUG build)";
+#else
+  const PeerDescriptor far = make(2, 75, 5);  // N(3,0) of (5,5)
+  EXPECT_DEATH(rt.offer_at({far.id, far.age}, far.values, CellSlot{3, 1}), "classify");
+#endif
 }
 
 TEST_F(RoutingTableTest, AllSlotsAddressable) {
