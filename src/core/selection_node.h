@@ -71,17 +71,16 @@ struct ProtocolConfig {
   /// entries never age (a static deployment cannot go stale).
   std::uint32_t result_cache_horizon = 8;
   /// Extension (off by default): overlapping concurrent branches into the
-  /// same subcell share one traversal. A branch whose (level, dim) matches
-  /// an in-flight shared traversal attaches as a rider when the dispatched
-  /// union ranges cover its own; otherwise it opens a new shared traversal
-  /// that later branches can widen until dispatch. Results fan out to every
-  /// rider, filtered to its own ranges. Only sigma-less (kNoSigma) queries
-  /// without dynamic filters participate.
+  /// same subcell share one traversal. A branch into a subcell the node holds
+  /// a link into (the plain DFS's test; a linkless subcell is skipped with no
+  /// message either way) attaches as a rider to an in-flight traversal of the
+  /// same (level, dim) whose fragment covers its own; otherwise it opens one,
+  /// dispatched at once with its own ranges. The traversal is an ordinary
+  /// query state with one branch, so dispatch, keepalives, timeouts and
+  /// retries run the plain DFS code. Results fan out to every rider,
+  /// filtered to its own ranges. Only sigma-less (kNoSigma) queries without
+  /// dynamic filters participate.
   bool coalesce_queries = false;
-  /// With coalescing on: how long a freshly opened shared traversal lingers
-  /// undispatched so concurrent overlapping branches can widen it. 0 sends
-  /// immediately (late riders can still attach when covered).
-  SimTime coalesce_window = 0;
 };
 
 /// Experiment hook observing the query protocol globally.
@@ -189,10 +188,10 @@ class SelectionNode final : public Node {
     std::vector<NodeId> failed;
   };
 
-  /// One coalesced traversal into subcell N(level,dim): several concurrent
-  /// local branches (riders) whose value ranges overlap share a single
-  /// synthetic union query; the reply fans out to every rider filtered to
-  /// its own ranges. Keyed in shared_ by the synthetic QueryId.
+  /// One shared traversal into subcell N(level,dim): several concurrent
+  /// local branches (riders) ride one synthetic query, which lives in
+  /// active_ like any other query state. Its reply fans out to every rider
+  /// filtered to its own ranges. Keyed in shared_ by the synthetic QueryId.
   struct SharedRider {
     QueryId qid = 0;
     FragmentKey key;  // the rider's own fragment (cache insert + coverage)
@@ -200,14 +199,8 @@ class SelectionNode final : public Node {
   struct SharedBranch {
     int level = 0;
     int dim = 0;
-    RangeQuery probe;       // running union of rider ranges (sent verbatim)
-    FragmentKey union_key;  // clamped union (late-rider coverage checks)
+    FragmentKey key;  // the traversal's fragment (late-rider coverage checks)
     std::vector<SharedRider> riders;
-    std::vector<NodeId> failed;
-    NodeId to = kInvalidNode;
-    std::uint64_t seq = 0;
-    SimTime last_heard = 0;
-    bool dispatched = false;
   };
 
   bool matches_self(const RangeQuery& q) const;
@@ -220,11 +213,9 @@ class SelectionNode final : public Node {
   void dispatch(QueryState& st, NodeId to, Outstanding slot);
   void on_timeout(QueryId qid, NodeId to, std::uint64_t seq);
   void finish(QueryState& st);
-  bool try_shared(QueryState& st, int level, int k, const Region& subcell);
-  void dispatch_shared(QueryId sqid);
-  void finish_shared(QueryId sqid, const std::vector<MatchRecord>& records,
-                     bool complete);
-  void on_shared_timeout(QueryId sqid, NodeId to, std::uint64_t seq);
+  void share(QueryState& st, int level, int k, const Region& subcell, NodeId to);
+  void fan_out(const SharedBranch& sb, const std::vector<MatchRecord>& records,
+               bool complete);
   void resume(QueryState& st);
   void meter_cache();
   void gossip_tick();
