@@ -4,9 +4,13 @@
 ///   off         — the paper's DFS, every query traverses alone;
 ///   cache       — per-node LRU result caching of complete branch fragments
 ///                 (ProtocolConfig::result_cache_capacity);
-///   cache+batch — caching plus shared traversals: overlapping concurrent
-///                 branches into the same subcell ride one union query
-///                 (ProtocolConfig::coalesce_queries).
+///   cache+batch — caching plus shared traversals: a concurrent branch into
+///                 a subcell whose in-flight traversal covers its ranges
+///                 rides that traversal instead of sending its own probe
+///                 (ProtocolConfig::coalesce_queries). A branch shares only
+///                 a subcell the node holds a link into, as the plain DFS
+///                 enters it, and the traversal runs on the plain DFS
+///                 branch state machine (dispatch, timeout, retry).
 ///
 /// The workload concentrates arrivals on a few portal origins and a small
 /// pool of query shapes (a service front-end answering a popular query mix),
