@@ -14,7 +14,6 @@ void QueryStats::on_query_visited(QueryId q, NodeId node, bool matched,
       ++total_duplicates_;
       return;  // repeat visit: never recounted as hit or overhead
     }
-    if (matched) pq.matched_visited.insert(node);
   }
   if (matched) {
     ++pq.hits;

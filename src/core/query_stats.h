@@ -42,8 +42,7 @@ class QueryStats final : public QueryObserver {
     std::uint32_t forwards = 0;    // query-message hops sent for this query
     bool completed = false;
     std::size_t result_size = 0;
-    std::unordered_set<NodeId> visited;          // iff track_visited
-    std::unordered_set<NodeId> matched_visited;  // iff track_visited
+    std::unordered_set<NodeId> visited;  // iff track_visited
   };
 
   /// \param track_visited keep per-query visited sets (exact duplicate and

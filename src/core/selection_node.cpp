@@ -50,7 +50,9 @@ void SelectionNode::start() {
   cyclon_->seed(bootstrap_);
   vicinity_->seed(bootstrap_, cyclon_->view());
   for (const auto& c : bootstrap_) rt_->offer(c);
-  bootstrap_.clear();
+  // Release the buffer, not just the elements: clear() keeps the capacity,
+  // and the introducers are never read again.
+  std::vector<PeerDescriptor>().swap(bootstrap_);
 
   if (cfg_.gossip_enabled) {
     // Random initial phase desynchronizes cycles across nodes.

@@ -18,9 +18,8 @@
 /// regions delegated from any node reconstructs its whole enclosing cell.
 
 #include <functional>
+#include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/sorted.h"
 #include "core/messages.h"
@@ -238,8 +237,14 @@ class SelectionNode final : public Node {
   std::unique_ptr<Vicinity> vicinity_;
   bool ticking_ = false;  // inside gossip_tick's view ticks
 
-  std::unordered_map<QueryId, QueryState> active_;
-  std::unordered_set<QueryId> completed_;
+  // Per-node, per-query bookkeeping stays compact: a node serves queries
+  // for the whole run, and these two containers are the part of its
+  // footprint that grows with load. std::map: node-stable (share() holds a
+  // QueryState& across an insert) and, unlike a hash map, it keeps no
+  // bucket array once empty; it is never iterated. FlatSet: 8 B per served
+  // query in one sorted vector.
+  std::map<QueryId, QueryState> active_;
+  FlatSet<QueryId> completed_;
   std::uint32_t next_query_seq_ = 0;
   std::uint64_t next_dispatch_seq_ = 0;
 

@@ -97,6 +97,50 @@ TEST_F(ProtocolMessagesTest, DuplicateQueryAnsweredIdempotently) {
   EXPECT_EQ(node(leaf).active_queries(), 0u);
 }
 
+TEST_F(ProtocolMessagesTest, DuplicatesAnsweredIdempotentlyAcrossManyQueries) {
+  // The completed-query record must recognize every id it was given, not
+  // only the latest or the largest: ids from several origins and sequence
+  // numbers, completed out of ascending order, each retransmitted later.
+  NodeId parent = net.add_node(std::make_unique<SinkNode>());
+  NodeId leaf = add_node({5, 5});
+  auto qid = [](std::uint64_t origin, std::uint64_t seq) -> QueryId {
+    return (origin << 32) | seq;
+  };
+  const std::vector<QueryId> served = {qid(3, 5), qid(1, 9), qid(2, 0), qid(1, 2),
+                                       qid(3, 1), qid(7, 4)};
+  for (QueryId q : served) net.send(parent, leaf, make_query(q, parent, -1, 0));
+  net.run_until(net.now() + 600 * kSecond);
+  auto& sink = *net.find_as<SinkNode>(parent);
+  ASSERT_EQ(sink.replies.size(), served.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(sink.replies[i].second.id, served[i]);
+    EXPECT_EQ(sink.replies[i].second.matching.size(), 1u);
+  }
+
+  // Retransmit every one, in yet another order: each gets an empty reply.
+  const std::vector<QueryId> again = {served[2], served[5], served[0], served[4],
+                                      served[1], served[3]};
+  for (QueryId q : again) net.send(parent, leaf, make_query(q, parent, -1, 0));
+  net.run_until(net.now() + 600 * kSecond);
+  ASSERT_EQ(sink.replies.size(), served.size() + again.size());
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    const ReplyMsg& r = sink.replies[served.size() + i].second;
+    EXPECT_EQ(r.id, again[i]);
+    EXPECT_TRUE(r.matching.empty()) << "retransmission of " << again[i];
+  }
+  EXPECT_EQ(node(leaf).active_queries(), 0u);
+
+  // An id never seen before, between the served ones, is still served.
+  net.send(parent, leaf, make_query(qid(2, 3), parent, -1, 0));
+  net.run_until(net.now() + 600 * kSecond);
+  ASSERT_EQ(sink.replies.size(), served.size() + again.size() + 1);
+  const ReplyMsg& fresh = sink.replies.back().second;
+  EXPECT_EQ(fresh.id, qid(2, 3));
+  ASSERT_EQ(fresh.matching.size(), 1u);
+  EXPECT_EQ(fresh.matching[0].id, leaf);
+  EXPECT_EQ(node(leaf).active_queries(), 0u);
+}
+
 TEST_F(ProtocolMessagesTest, UnknownReplyIgnored) {
   NodeId a = add_node({5, 5});
   auto r = std::make_unique<ReplyMsg>();
